@@ -13,8 +13,10 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 
 	fatgather "github.com/fatgather/fatgather"
+	"github.com/fatgather/fatgather/internal/adversary"
 	"github.com/fatgather/fatgather/internal/sim"
 )
 
@@ -32,12 +34,19 @@ func main() {
 	}
 }
 
+// adversaryUsage is the -adversary help: every base strategy of
+// adversary.Names, plus the spec grammar adversary.ParseSpec accepts.
+func adversaryUsage() string {
+	return "adversary spec: a strategy (" + strings.Join(adversary.Names(), ", ") +
+		"), with crash(k) for k crashed robots and optional +crash=k, +noise=x, +trunc=x fault suffixes, e.g. random-async+noise=0.05"
+}
+
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("gathersim", flag.ContinueOnError)
 	n := fs.Int("n", 6, "number of robots")
 	wl := fs.String("workload", "clustered", "workload kind (random, clustered, collinear, grid, ring, two-clusters, nested-hulls)")
 	alg := fs.String("algorithm", "agm-gathering", "algorithm (agm-gathering, baseline-gravity, baseline-smalln, baseline-transparent)")
-	adv := fs.String("adversary", "random-async", "adversary (fair, random-async, stop-happy, slow-robot, mover-starver)")
+	adv := fs.String("adversary", "random-async", adversaryUsage())
 	seed := fs.Int64("seed", 1, "random seed (workload and adversary)")
 	maxEvents := fs.Int("max-events", defaultMaxEvents, "event budget")
 	delta := fs.Float64("delta", 0.05, "liveness minimum-progress distance")

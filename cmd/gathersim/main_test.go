@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/fatgather/fatgather/internal/adversary"
 	"github.com/fatgather/fatgather/internal/experiments"
 	"github.com/fatgather/fatgather/internal/sim"
 	"github.com/fatgather/fatgather/internal/trace"
@@ -22,6 +23,23 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	for _, args := range cases {
 		if err := run(args, os.Stderr); err == nil {
 			t.Fatalf("args %v: expected an error", args)
+		}
+	}
+}
+
+// TestAdversaryHelpNamesEveryStrategy pins the -adversary help to the
+// registry: every adversary.Names entry is listed, and the spec form is
+// mentioned.
+func TestAdversaryHelpNamesEveryStrategy(t *testing.T) {
+	help := adversaryUsage()
+	for _, name := range adversary.Names() {
+		if !strings.Contains(help, name) {
+			t.Errorf("-adversary help misses %q: %s", name, help)
+		}
+	}
+	for _, want := range []string{"crash(k)", "+noise="} {
+		if !strings.Contains(help, want) {
+			t.Errorf("-adversary help misses the spec form %q: %s", want, help)
 		}
 	}
 }

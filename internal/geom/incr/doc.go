@@ -19,14 +19,13 @@
 //     (geom.HullScratch, a DFS over on-the-fly tangency tests) — zero
 //     allocations per event instead of a dozen.
 //
-//   - A visibility verdict Visible(i, j) can change only if the moved disc
-//     is one of i, j, or if the mover's old or new center lies within the
-//     pair's blocking corridor: every candidate sight line between discs i
-//     and j stays within distance r of the center segment [ci, cj]
-//     (candidate endpoints lie on the disc boundaries and point-to-segment
-//     distance is convex along a line), and a blocker only matters within
-//     r+BlockTol of a candidate — so discs farther than 2r+BlockTol from
-//     [ci, cj] can never flip the verdict. Pairs outside the corridor of the
+//   - A visibility verdict Visible(i, j) is computed by the vision kernel
+//     from the discs in the pair's blocking corridor only (vision.Corridor:
+//     centers within vision.Model.CorridorRadius of [ci, cj]; the kernel's
+//     exactness note explains why no other disc can block). So the verdict
+//     can change only if the moved disc is one of i, j, or if the mover's old
+//     or new center lies in that corridor, tested with the same
+//     Corridor.Contains the kernel uses. Pairs outside the corridor of the
 //     mover keep their cached verdict; pairs inside it (typically O(n) of
 //     the O(n^2) total) are recomputed exactly.
 package incr

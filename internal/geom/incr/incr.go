@@ -6,15 +6,6 @@ import (
 	"github.com/fatgather/fatgather/internal/vision"
 )
 
-// corridorMargin is the absolute slack added to the blocking-corridor radius
-// when deciding whether a moved disc can affect a cached pair verdict. The
-// corridor bound 2r+BlockTol is mathematically exact; the margin only has to
-// absorb floating-point rounding in DistancePointSegment (relative error
-// ~1e-15 of coordinates, i.e. absolute ~1e-12 at simulation scale), which it
-// exceeds by six orders of magnitude. Erring wide merely recomputes a pair
-// that could not have changed — never the reverse.
-const corridorMargin = 1e-6
-
 // Cache is the incremental geometry state for one configuration of unit-disc
 // robots under a fixed visibility model. Construct it with New, report every
 // position change through Move, and read the cached predicates through the
@@ -22,7 +13,6 @@ const corridorMargin = 1e-6
 // the current centers. A Cache is not safe for concurrent use.
 type Cache struct {
 	model   *vision.Model
-	radius  float64
 	centers []geom.Vec
 	n       int
 
@@ -55,9 +45,8 @@ func New(m *vision.Model, centers []geom.Vec) *Cache {
 		m = vision.Default
 	}
 	c := &Cache{
-		model:  m,
-		radius: m.Radius(),
-		n:      len(centers),
+		model: m,
+		n:     len(centers),
 	}
 	c.centers = append([]geom.Vec(nil), centers...)
 	c.vis = make([]bool, c.n*c.n)
@@ -104,7 +93,6 @@ func (c *Cache) Move(i int, p geom.Vec) {
 		c.setVis(i, j, c.pairVisible(i, j))
 		c.setVis(j, i, c.pairVisible(j, i))
 	}
-	thr := 2*c.radius + vision.BlockTol + corridorMargin
 	for a := 0; a < c.n; a++ {
 		if a == i {
 			continue
@@ -114,9 +102,8 @@ func (c *Cache) Move(i int, p geom.Vec) {
 			if b == i {
 				continue
 			}
-			cb := c.centers[b]
-			if geom.DistancePointSegment(old, ca, cb) <= thr ||
-				geom.DistancePointSegment(p, ca, cb) <= thr {
+			cor := c.model.Corridor(ca, c.centers[b])
+			if cor.Contains(old) || cor.Contains(p) {
 				c.setVis(a, b, c.pairVisible(a, b))
 				c.setVis(b, a, c.pairVisible(b, a))
 			}
@@ -217,26 +204,9 @@ func (c *Cache) pairVisible(i, j int) bool {
 	return c.model.VisibleScratch(&c.vsc, c.centers, i, j)
 }
 
-// rebuildVisibility recomputes the whole matrix. Large configurations go
-// through the uniform-grid index exactly like the batch Model queries do (the
-// grid answers are pinned identical to the flat scan); the per-move updates
-// always use the flat scratch query, which is allocation-free.
+// rebuildVisibility recomputes the whole matrix.
 func (c *Cache) rebuildVisibility() {
 	c.invis = 0
-	if c.n >= vision.GridThreshold {
-		ix := c.model.NewIndex(c.centers)
-		for i := 0; i < c.n; i++ {
-			row := c.vis[i*c.n : (i+1)*c.n]
-			for j := range row {
-				v := i == j || ix.Visible(i, j)
-				row[j] = v
-				if !v {
-					c.invis++
-				}
-			}
-		}
-		return
-	}
 	for i := 0; i < c.n; i++ {
 		row := c.vis[i*c.n : (i+1)*c.n]
 		for j := range row {

@@ -19,6 +19,15 @@ const DefaultBoundarySamples = 8
 // when its distance to a blocker's center is at most radius+BlockTol.
 const BlockTol = 1e-9
 
+// corridorMargin is the absolute slack added to the blocking-corridor radius
+// 2r+BlockTol (see CorridorRadius). The bound itself is mathematically exact;
+// the margin only has to absorb floating-point rounding in the candidate
+// endpoints and in DistancePointSegment, a few ulps of the coordinates
+// (about 1e-10 at |coordinate| = 1e6), which it exceeds by four orders of
+// magnitude. Erring wide merely keeps a disc that cannot block — never the
+// reverse.
+const corridorMargin = 1e-6
+
 // Options configures the visibility model.
 type Options struct {
 	// Radius is the robot disc radius. Zero means geom.UnitRadius.
@@ -62,106 +71,127 @@ func (m *Model) Fingerprint() string {
 var Default = New(Options{})
 
 // Radius returns the effective disc radius of the model (geom.UnitRadius for
-// the zero options). Exposed so callers that cache visibility state (see
-// internal/geom/incr) can reason about blocking distances with the same
-// radius the model uses.
+// the zero options).
 func (m *Model) Radius() float64 { return m.opts.radius() }
 
+// CorridorRadius returns the radius of a pair's blocking corridor,
+// 2r + BlockTol plus a rounding margin: a disc whose center is farther than
+// this from the center segment [a, b] cannot block any candidate sight line
+// between the discs at a and b (see Corridor).
+func (m *Model) CorridorRadius() float64 {
+	return 2*m.opts.radius() + BlockTol + corridorMargin
+}
+
+// Corridor is the blocking corridor of one pair of discs: the set of disc
+// centers within CorridorRadius of the center segment [a, b]. It is the one
+// definition of "can this disc affect this pair" shared by the visibility
+// kernel, the incremental cache (internal/geom/incr) and the Compute
+// algorithm's occlusion test (internal/core).
+//
+// Exactness. Every candidate sight line lies within distance r of [a, b]:
+// each endpoint is on one of the two disc boundaries (distance exactly r from
+// a center, which lies on [a, b]), and the distance to a segment is convex
+// along a line, so its maximum over a candidate is attained at an endpoint.
+// A disc blocks a candidate only within r+BlockTol of it, so by the triangle
+// inequality a disc outside the corridor is farther than r+BlockTol from
+// every candidate and can never block one. The kernel therefore tests the
+// candidates against the corridor discs only and returns exactly the verdict
+// of testing them against every disc, for finite coordinates whose rounding
+// stays below the margin (|coordinate| up to about 1e6; NaN distances count
+// as inside, so non-finite input is tested in full).
+type Corridor struct {
+	a, ab geom.Vec
+	len2  float64 // |ab|^2
+	rad2  float64 // CorridorRadius^2
+}
+
+// Corridor returns the blocking corridor of the pair of discs at a and b.
+func (m *Model) Corridor(a, b geom.Vec) Corridor {
+	rad := m.CorridorRadius()
+	ab := b.Sub(a)
+	return Corridor{a: a, ab: ab, len2: ab.Norm2(), rad2: rad * rad}
+}
+
+// Contains reports whether the disc centered at p lies in the corridor. It
+// compares squared distances (no square root) and is conservative: a NaN
+// distance counts as inside.
+func (c Corridor) Contains(p geom.Vec) bool {
+	ap := p.Sub(c.a)
+	t := ap.Dot(c.ab)
+	var d2 float64
+	switch {
+	case t <= 0:
+		d2 = ap.Norm2()
+	case t >= c.len2:
+		d2 = ap.Sub(c.ab).Norm2()
+	default:
+		x := c.ab.Cross(ap)
+		d2 = x * x / c.len2
+	}
+	return !(d2 > c.rad2)
+}
+
 // Scratch holds reusable buffers for repeated visibility queries on a hot
-// path. The zero value is ready to use; once the buffer has grown to the
-// candidate-segment count (3 + 2*BoundarySamples), VisibleScratch allocates
-// nothing. A Scratch is not safe for concurrent use.
+// path. The zero value is ready to use; once its corridor buffer has grown to
+// the largest corridor queried, the Scratch queries allocate nothing. A
+// Scratch is not safe for concurrent use.
 type Scratch struct {
-	segs []geom.Segment
+	near []geom.Vec
 }
 
 // Visible reports whether the robot centered at centers[i] can see the robot
 // centered at centers[j], given that every entry of centers is an opaque
-// closed disc. A robot always sees itself. One-shot queries allocate the
-// candidate buffer exactly once; hot paths should hold a Scratch and call
-// VisibleScratch instead.
+// closed disc. A robot always sees itself. Hot paths should hold a Scratch
+// and call VisibleScratch instead.
 func (m *Model) Visible(centers []geom.Vec, i, j int) bool {
-	if i == j {
-		return true
-	}
-	if len(centers) <= 2 {
-		// No third disc exists to block the pair.
-		return true
-	}
-	r := m.opts.radius()
-	for _, seg := range m.candidateSegments(centers[i], centers[j], r) {
-		if !segmentBlockedExcept(seg, centers, i, j, r) {
-			return true
-		}
-	}
-	return false
+	var sc Scratch
+	return m.VisibleScratch(&sc, centers, i, j)
 }
 
-// VisibleScratch answers exactly Visible(centers, i, j) — same candidates,
-// same blockers, same scan order — but generates the candidate sight lines
-// into the scratch's reused buffer and skips the blockers i and j in place
-// instead of materializing a blocker slice.
+// VisibleScratch answers Visible(centers, i, j) with the corridor collected
+// into the scratch's reused buffer.
 func (m *Model) VisibleScratch(sc *Scratch, centers []geom.Vec, i, j int) bool {
 	if i == j {
 		return true
 	}
-	if len(centers) <= 2 {
-		// No third disc exists to block the pair.
-		return true
-	}
-	r := m.opts.radius()
-	sc.segs = m.appendCandidateSegments(sc.segs[:0], centers[i], centers[j], r)
-	for _, seg := range sc.segs {
-		if !segmentBlockedExcept(seg, centers, i, j, r) {
-			return true
+	a, b := centers[i], centers[j]
+	cor := m.Corridor(a, b)
+	sc.near = sc.near[:0]
+	for k, c := range centers {
+		if k != i && k != j && cor.Contains(c) {
+			sc.near = append(sc.near, c)
 		}
 	}
-	return false
+	return m.clearSightLine(a, b, sc.near)
 }
 
 // VisiblePair reports whether two discs at a and b can see each other given
 // the obstacle discs (which must not include a or b).
 func (m *Model) VisiblePair(a, b geom.Vec, obstacles []geom.Vec) bool {
-	r := m.opts.radius()
-	if len(obstacles) == 0 {
-		return true
-	}
-	for _, seg := range m.candidateSegments(a, b, r) {
-		if !segmentBlocked(seg, obstacles, r) {
-			return true
-		}
-	}
-	return false
+	var sc Scratch
+	return m.VisiblePairScratch(&sc, a, b, obstacles)
 }
 
-// VisiblePairScratch answers exactly VisiblePair(a, b, obstacles) — same
-// candidates, same blockers, same scan order — but generates the candidate
-// sight lines into the scratch's reused buffer.
+// VisiblePairScratch answers VisiblePair(a, b, obstacles) with the corridor
+// collected into the scratch's reused buffer.
 func (m *Model) VisiblePairScratch(sc *Scratch, a, b geom.Vec, obstacles []geom.Vec) bool {
-	if len(obstacles) == 0 {
-		return true
-	}
-	r := m.opts.radius()
-	sc.segs = m.appendCandidateSegments(sc.segs[:0], a, b, r)
-	for _, seg := range sc.segs {
-		if !segmentBlocked(seg, obstacles, r) {
-			return true
+	cor := m.Corridor(a, b)
+	sc.near = sc.near[:0]
+	for _, c := range obstacles {
+		if cor.Contains(c) {
+			sc.near = append(sc.near, c)
 		}
 	}
-	return false
+	return m.clearSightLine(a, b, sc.near)
 }
 
 // View returns the indices of all robots visible from robot i (always
-// including i itself), in increasing index order. Large configurations are
-// answered through a uniform-grid index (see Index); the result is identical
-// to the flat scan.
+// including i itself), in increasing index order.
 func (m *Model) View(centers []geom.Vec, i int) []int {
-	if len(centers) >= GridThreshold {
-		return m.NewIndex(centers).View(i)
-	}
+	var sc Scratch
 	out := make([]int, 0, len(centers))
 	for j := range centers {
-		if m.Visible(centers, i, j) {
+		if m.VisibleScratch(&sc, centers, i, j) {
 			out = append(out, j)
 		}
 	}
@@ -182,11 +212,13 @@ func (m *Model) ViewCenters(centers []geom.Vec, i int) []geom.Vec {
 // FullVisibility reports whether robot i sees every robot in the
 // configuration.
 func (m *Model) FullVisibility(centers []geom.Vec, i int) bool {
-	if len(centers) >= GridThreshold {
-		return m.NewIndex(centers).FullVisibility(i)
-	}
+	var sc Scratch
+	return m.fullVisibility(&sc, centers, i)
+}
+
+func (m *Model) fullVisibility(sc *Scratch, centers []geom.Vec, i int) bool {
 	for j := range centers {
-		if !m.Visible(centers, i, j) {
+		if !m.VisibleScratch(sc, centers, i, j) {
 			return false
 		}
 	}
@@ -194,14 +226,11 @@ func (m *Model) FullVisibility(centers []geom.Vec, i int) bool {
 }
 
 // FullyVisible reports whether every robot sees every other robot (the
-// paper's "fully visible configuration"). Large configurations are answered
-// through a single uniform-grid index shared by all n^2 pair queries.
+// paper's "fully visible configuration").
 func (m *Model) FullyVisible(centers []geom.Vec) bool {
-	if len(centers) >= GridThreshold {
-		return m.NewIndex(centers).FullyVisible()
-	}
+	var sc Scratch
 	for i := range centers {
-		if !m.FullVisibility(centers, i) {
+		if !m.fullVisibility(&sc, centers, i) {
 			return false
 		}
 	}
@@ -211,15 +240,11 @@ func (m *Model) FullyVisible(centers []geom.Vec) bool {
 // VisibilityCount returns the number of ordered pairs (i, j), i != j, such
 // that robot i sees robot j. The maximum is n*(n-1).
 func (m *Model) VisibilityCount(centers []geom.Vec) int {
-	visible := func(i, j int) bool { return m.Visible(centers, i, j) }
-	if len(centers) >= GridThreshold {
-		ix := m.NewIndex(centers)
-		visible = ix.Visible
-	}
+	var sc Scratch
 	count := 0
 	for i := range centers {
 		for j := range centers {
-			if i != j && visible(i, j) {
+			if i != j && m.VisibleScratch(&sc, centers, i, j) {
 				count++
 			}
 		}
@@ -227,73 +252,101 @@ func (m *Model) VisibilityCount(centers []geom.Vec) int {
 	return count
 }
 
-// candidateSegments generates the candidate sight lines between the discs at
-// a and b: the center-center segment (clipped to the disc boundaries), the
-// two outer common tangents, and sampled boundary-to-boundary segments on the
-// halves of each disc facing the other.
-func (m *Model) candidateSegments(a, b geom.Vec, r float64) []geom.Segment {
-	return m.appendCandidateSegments(make([]geom.Segment, 0, 3+m.opts.samples()*2), a, b, r)
-}
-
-// appendCandidateSegments appends the candidate sight lines between the discs
-// at a and b to dst and returns the extended slice. The arithmetic is kept
-// expression-for-expression identical to the historical candidateSegments so
-// every candidate endpoint — and therefore every visibility verdict and every
-// pinned determinism hash downstream — stays bit-identical.
-//
-// Every candidate segment lies within distance r of the center segment
-// [a, b]: each endpoint is on one of the two disc boundaries (distance
-// exactly r from a center, which lies on [a, b]), and the distance to a
-// segment is convex along a line, so the maximum over a candidate is attained
-// at an endpoint. Callers that cache visibility rely on this corridor bound
-// to decide which pairs a moved disc can possibly affect.
-func (m *Model) appendCandidateSegments(dst []geom.Segment, a, b geom.Vec, r float64) []geom.Segment {
-	dir := b.Sub(a)
-	d := dir.Norm()
-	if d <= 2*r+geom.Eps {
-		// Touching or (illegally) overlapping discs: they trivially see each
-		// other through the contact region; a degenerate segment at the
-		// contact point witnesses it.
-		mid := geom.Midpoint(a, b)
-		return append(dst, geom.Segment{A: mid, B: mid})
+// clearSightLine is the visibility kernel: it reports whether some candidate
+// sight line between the discs at a and b avoids every disc in near, which
+// must hold the pair's corridor discs (see Corridor). With no disc in the
+// corridor the pair is visible without generating a single candidate;
+// otherwise the candidates are generated one at a time and the first
+// unblocked one answers.
+func (m *Model) clearSightLine(a, b geom.Vec, near []geom.Vec) bool {
+	if len(near) == 0 {
+		return true
 	}
-	u := dir.Unit()
-	// Center-line candidate, clipped to the boundaries.
-	dst = append(dst, geom.Segment{A: a.Add(u.Scale(r)), B: b.Sub(u.Scale(r))})
-	// Outer common tangents.
-	dst = geom.AppendOuterTangentSegments(dst, a, b, r)
-	// Sampled boundary points on the facing halves.
-	nSamples := m.opts.samples()
-	base := u.Angle()
-	for s := 1; s <= nSamples; s++ {
-		// Spread angles in (-pi/2, pi/2) around the facing direction.
-		off := (float64(s)/float64(nSamples+1) - 0.5) * math.Pi
-		pa := geom.Circle{Center: a, Radius: r}.PointAtAngle(base + off)
-		pb := geom.Circle{Center: b, Radius: r}.PointAtAngle(base + math.Pi - off)
-		dst = append(dst, geom.Segment{A: pa, B: pb})
-	}
-	return dst
-}
-
-// segmentBlocked reports whether the segment comes within the closed disc of
-// radius r of any blocker.
-func segmentBlocked(seg geom.Segment, blockers []geom.Vec, r float64) bool {
-	for _, c := range blockers {
-		if geom.DistancePointSegment(c, seg.A, seg.B) <= r+BlockTol {
+	r := m.opts.radius()
+	g := m.sightLines(a, b, r)
+	for seg, ok := g.next(); ok; seg, ok = g.next() {
+		if !segmentBlocked(seg, near, r) {
 			return true
 		}
 	}
 	return false
 }
 
-// segmentBlockedExcept is segmentBlocked over centers with the discs i and j
-// skipped in place: identical verdicts to building the blocker slice, scan
-// order preserved, no allocation.
-func segmentBlockedExcept(seg geom.Segment, centers []geom.Vec, i, j int, r float64) bool {
-	for k, c := range centers {
-		if k == i || k == j {
-			continue
+// sightLines generates the candidate sight lines between the discs at a and
+// b lazily, in a fixed order: the center-center segment (clipped to the disc
+// boundaries), the two outer common tangents, then sampled
+// boundary-to-boundary segments on the halves of each disc facing the other.
+// Touching or (illegally) overlapping discs trivially see each other through
+// the contact region; their only candidate is a degenerate segment at the
+// contact point.
+//
+// Every candidate's arithmetic is expression-for-expression that of the
+// historical eager generator (kept as the test oracle), so every candidate
+// endpoint — and therefore every visibility verdict and every pinned
+// determinism hash downstream — is bit-identical to it; only the trig of
+// candidates that are never reached is skipped.
+type sightLines struct {
+	a, b, u  geom.Vec
+	r        float64
+	touching bool
+	samples  int
+	base     float64 // u.Angle(), computed when the first sample is reached
+	k        int     // index of the next candidate
+}
+
+func (m *Model) sightLines(a, b geom.Vec, r float64) sightLines {
+	dir := b.Sub(a)
+	d := dir.Norm()
+	g := sightLines{a: a, b: b, r: r, samples: m.opts.samples()}
+	if d <= 2*r+geom.Eps {
+		g.touching = true
+		return g
+	}
+	// dir.Unit(), reusing the norm: d > 2r+Eps >= Eps here.
+	g.u = geom.Vec{X: dir.X / d, Y: dir.Y / d}
+	return g
+}
+
+// next returns the next candidate sight line, or false when every candidate
+// has been generated.
+func (g *sightLines) next() (geom.Segment, bool) {
+	k := g.k
+	g.k++
+	if g.touching {
+		if k > 0 {
+			return geom.Segment{}, false
 		}
+		mid := geom.Midpoint(g.a, g.b)
+		return geom.Segment{A: mid, B: mid}, true
+	}
+	switch {
+	case k == 0:
+		return geom.Segment{A: g.a.Add(g.u.Scale(g.r)), B: g.b.Sub(g.u.Scale(g.r))}, true
+	case k == 1:
+		// Outer common tangents, as geom.AppendOuterTangentSegments.
+		n := g.u.Perp().Scale(g.r)
+		return geom.Segment{A: g.a.Add(n), B: g.b.Add(n)}, true
+	case k == 2:
+		n := g.u.Perp().Scale(g.r)
+		return geom.Segment{A: g.a.Sub(n), B: g.b.Sub(n)}, true
+	case k-2 <= g.samples:
+		if k == 3 {
+			g.base = g.u.Angle()
+		}
+		s := k - 2
+		// Spread angles in (-pi/2, pi/2) around the facing direction.
+		off := (float64(s)/float64(g.samples+1) - 0.5) * math.Pi
+		pa := geom.Circle{Center: g.a, Radius: g.r}.PointAtAngle(g.base + off)
+		pb := geom.Circle{Center: g.b, Radius: g.r}.PointAtAngle(g.base + math.Pi - off)
+		return geom.Segment{A: pa, B: pb}, true
+	}
+	return geom.Segment{}, false
+}
+
+// segmentBlocked reports whether the segment comes within the closed disc of
+// radius r of any blocker.
+func segmentBlocked(seg geom.Segment, blockers []geom.Vec, r float64) bool {
+	for _, c := range blockers {
 		if geom.DistancePointSegment(c, seg.A, seg.B) <= r+BlockTol {
 			return true
 		}
