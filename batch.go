@@ -80,7 +80,8 @@ type BatchOptions struct {
 	// per-group seed counts as a single adaptive process.
 	ShardOwner string
 	// LeaseTTL is how long a sharded worker's lease outlives its last
-	// heartbeat before peers may reclaim it (default 30s).
+	// heartbeat before peers may reclaim it (default 30s). It requires
+	// ShardOwner and may not exceed 24h (sweep.MaxLeaseHorizon).
 	LeaseTTL time.Duration
 	// Shards and ShardIndex statically partition the cell groups by a
 	// stable hash when Shards > 1: this process runs only the groups with
@@ -234,23 +235,18 @@ func RunBatch(opts BatchOptions) (BatchResult, error) {
 	if opts.SweepDir != "" && opts.Coordinator != "" {
 		return BatchResult{}, fmt.Errorf("%w: SweepDir and Coordinator are mutually exclusive (pick one coordination medium)", ErrBadOptions)
 	}
-	if sharded && opts.ShardOwner != "" && opts.SweepDir == "" && opts.Coordinator == "" {
+	if opts.ShardOwner != "" && opts.SweepDir == "" && opts.Coordinator == "" {
 		return BatchResult{}, fmt.Errorf("%w: ShardOwner requires SweepDir or Coordinator (leases live in the shared sweep directory or on the coordinator)", ErrBadOptions)
 	}
-	if opts.Steal && opts.ShardOwner == "" {
-		return BatchResult{}, fmt.Errorf("%w: Steal requires ShardOwner (stealing is arbitrated through lease files)", ErrBadOptions)
+	shard := sweep.Shard{
+		Owner:  opts.ShardOwner,
+		TTL:    opts.LeaseTTL,
+		Shards: opts.Shards,
+		Index:  opts.ShardIndex,
+		Steal:  opts.Steal,
 	}
-	if opts.Shards < 0 {
-		return BatchResult{}, fmt.Errorf("%w: Shards must be non-negative, got %d", ErrBadOptions, opts.Shards)
-	}
-	if opts.Shards > 1 && (opts.ShardIndex < 0 || opts.ShardIndex >= opts.Shards) {
-		return BatchResult{}, fmt.Errorf("%w: ShardIndex must be in [0, %d), got %d", ErrBadOptions, opts.Shards, opts.ShardIndex)
-	}
-	if opts.ShardIndex != 0 && opts.Shards <= 1 {
-		return BatchResult{}, fmt.Errorf("%w: ShardIndex %d requires Shards > 1, got %d", ErrBadOptions, opts.ShardIndex, opts.Shards)
-	}
-	if opts.LeaseTTL < 0 {
-		return BatchResult{}, fmt.Errorf("%w: LeaseTTL must be non-negative, got %v", ErrBadOptions, opts.LeaseTTL)
+	if err := shard.Validate(); err != nil {
+		return BatchResult{}, fmt.Errorf("%w: %v", ErrBadOptions, err)
 	}
 
 	batch := engine.Batch{
@@ -272,6 +268,10 @@ func RunBatch(opts BatchOptions) (BatchResult, error) {
 	sweepOpts := sweep.Options{
 		Engine: engine.Options{Workers: opts.Workers},
 		Cache:  workload.NewCache(),
+		Shard:  shard,
+	}
+	if opts.AdaptiveCI > 0 {
+		sweepOpts.Adaptive = sweep.Adaptive{TargetCI: opts.AdaptiveCI, MaxSeeds: opts.AdaptiveMaxSeeds}
 	}
 	var warnings []string
 	if opts.Coordinator != "" {
@@ -311,48 +311,12 @@ func RunBatch(opts BatchOptions) (BatchResult, error) {
 		sweepOpts.Store = st
 	}
 
-	var (
-		results []engine.CellResult
-		infos   []sweep.GroupSeeds
-		stats   sweep.Stats
-		shStats sweep.ShardStats
-	)
-	shard := sweep.Shard{
-		Owner:  opts.ShardOwner,
-		TTL:    opts.LeaseTTL,
-		Shards: opts.Shards,
-		Index:  opts.ShardIndex,
-		Steal:  opts.Steal,
-	}
-	adaptive := sweep.Adaptive{
-		TargetCI: opts.AdaptiveCI,
-		MaxSeeds: opts.AdaptiveMaxSeeds,
-	}
-	switch {
-	case opts.AdaptiveCI > 0 && sharded:
-		results, infos, shStats = sweep.RunAdaptiveSharded(cells, sweepOpts, adaptive, shard)
-	case opts.AdaptiveCI > 0:
-		results, infos, stats = sweep.RunAdaptive(cells, sweepOpts, adaptive)
-	case sharded:
-		results, shStats = sweep.RunSharded(cells, sweepOpts, shard)
-	default:
-		results, stats = sweep.Run(cells, sweepOpts)
-	}
-	if sharded {
-		stats = shStats.Stats
-		// Cells another shard owns (and no store could merge) are dropped:
-		// the remaining results are exactly this worker's share, still in
-		// deterministic grid order.
-		results = sweep.DropNotClaimed(results)
-		if shStats.LeaseErrs > 0 {
-			warnings = append(warnings, fmt.Sprintf(
-				"sweep: %d cell groups ran without a lease (lease dir trouble); peers may duplicate that work", shStats.LeaseErrs))
-		}
-	}
-	if stats.AppendErrs > 0 {
-		warnings = append(warnings, fmt.Sprintf(
-			"sweep: %d results could not be checkpointed and will re-run on resume", stats.AppendErrs))
-	}
+	results, stats := sweep.Run(cells, sweepOpts)
+	// Cells another static shard owns (and no store could merge) are
+	// dropped: the remaining results are exactly this worker's share, still
+	// in deterministic grid order.
+	results = sweep.DropNotClaimed(results)
+	warnings = append(warnings, stats.Warnings()...)
 	col := engine.NewCollector(func(r engine.CellResult) string {
 		// The full adversary label (base strategy + fault decorations) keys
 		// the groups, so "crash(1)" and "crash(2)" cells never merge.
@@ -368,10 +332,10 @@ func RunBatch(opts BatchOptions) (BatchResult, error) {
 		Warnings:  warnings,
 		Executed:  stats.Executed,
 		Restored:  stats.Restored,
-		Claimed:   shStats.GroupsClaimed,
-		Skipped:   shStats.GroupsSkipped,
-		Reclaimed: shStats.LeasesReclaimed,
-		Stolen:    shStats.GroupsStolen,
+		Claimed:   stats.GroupsClaimed,
+		Skipped:   stats.GroupsSkipped,
+		Reclaimed: stats.LeasesReclaimed,
+		Stolen:    stats.GroupsStolen,
 	}
 	for i, r := range results {
 		cell := BatchCellResult{
@@ -413,8 +377,8 @@ func RunBatch(opts BatchOptions) (BatchResult, error) {
 	// collector by the public grid point; within one batch (uniform Delta,
 	// MaxEvents, ...) both partitions are identical and appear in the same
 	// first-seen order, so the per-group seed info zips by index.
-	if len(infos) == len(out.Groups) {
-		for i, info := range infos {
+	if len(stats.Groups) == len(out.Groups) {
+		for i, info := range stats.Groups {
 			out.Groups[i].SeedsUsed = info.Seeds
 			out.Groups[i].CIHalfWidth = info.HalfWidth
 		}

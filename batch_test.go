@@ -418,6 +418,25 @@ func TestRunBatchStaticShardsPartition(t *testing.T) {
 	}
 }
 
+// TestRunBatchRejectsLeaseTTLBeyondHorizon pins the shard validator at the
+// batch entry point. A LeaseTTL past sweep.MaxLeaseHorizon makes every claim
+// fail, so a worker would run every group leaseless and a fleet would
+// duplicate all of its work; it must be rejected up front. LeaseTTL without
+// ShardOwner configures nothing and is rejected too.
+func TestRunBatchRejectsLeaseTTLBeyondHorizon(t *testing.T) {
+	base := BatchOptions{Ns: []int{3}, Seeds: 1, MaxEvents: 200}
+	opts := base
+	opts.ShardOwner, opts.SweepDir, opts.LeaseTTL = "w1", t.TempDir(), 25*time.Hour
+	if _, err := RunBatch(opts); !errors.Is(err, ErrBadOptions) || !strings.Contains(err.Error(), "lease horizon") {
+		t.Fatalf("LeaseTTL 25h: got %v, want ErrBadOptions naming the lease horizon", err)
+	}
+	opts = base
+	opts.LeaseTTL = time.Minute
+	if _, err := RunBatch(opts); !errors.Is(err, ErrBadOptions) {
+		t.Fatalf("LeaseTTL without ShardOwner: got %v, want ErrBadOptions", err)
+	}
+}
+
 // TestRunBatchShardedRejectsBadOptions covers the sharding option validation.
 func TestRunBatchShardedRejectsBadOptions(t *testing.T) {
 	if _, err := RunBatch(BatchOptions{ShardOwner: "w"}); !errors.Is(err, ErrBadOptions) {

@@ -30,9 +30,10 @@ type Env struct {
 }
 
 // Strategy owns event selection for a run: which robot is activated next, and
-// how far an activated mover may advance. It generalizes the legacy
-// sched.Adversary (which only saw robot states) with the full scheduling
-// environment; legacy policies participate unchanged through Wrap.
+// how far an activated mover may advance. It is the simulator's only
+// scheduling interface: the state-only policies (Fair, RandomAsync,
+// StopHappy, SlowRobot, MoverStarver) read only Env.States, while
+// GreedyStall and RoundRobinLag rule on the whole Env.
 //
 // Implementations own their randomness, seeded at construction, so a run is
 // reproducible from (strategy spec, seed) alone — the determinism contract
@@ -94,25 +95,6 @@ func CrashedIDs(s Strategy) []int {
 		s = u.Unwrap()
 	}
 	return nil
-}
-
-// wrapped adapts a legacy sched.Adversary to the Strategy interface. The
-// adapter forwards exactly the information the legacy interface saw (states
-// and remaining distance), so a wrapped adversary consumes its RNG in the
-// same order and produces byte-identical schedules.
-type wrapped struct{ a sched.Adversary }
-
-// Wrap lifts a legacy sched.Adversary into a Strategy, byte-identically.
-func Wrap(a sched.Adversary) Strategy { return wrapped{a: a} }
-
-func (w wrapped) Name() string { return w.a.Name() }
-
-func (w wrapped) Next(candidates []int, env Env) int {
-	return w.a.Next(candidates, env.States)
-}
-
-func (w wrapped) Move(id int, remaining float64, _ Env) sched.MoveAction {
-	return w.a.Move(id, remaining)
 }
 
 // splitmix64 is the SplitMix64 finalizer (same mix as engine.DeriveSeed,

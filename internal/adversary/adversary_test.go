@@ -7,7 +7,6 @@ import (
 
 	"github.com/fatgather/fatgather/internal/geom"
 	"github.com/fatgather/fatgather/internal/robot"
-	"github.com/fatgather/fatgather/internal/sched"
 )
 
 func TestSpecStringParseRoundTrip(t *testing.T) {
@@ -82,32 +81,6 @@ func TestParseSpecErrors(t *testing.T) {
 	for _, tc := range cases {
 		if _, err := ParseSpec(tc.text); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("ParseSpec(%q) error %v, want substring %q", tc.text, err, tc.want)
-		}
-	}
-}
-
-// TestWrapIsByteIdenticalToLegacy pins the adapter contract: a wrapped legacy
-// adversary must consume its RNG exactly as the legacy interface did, so
-// Next/Move sequences agree call for call.
-func TestWrapIsByteIdenticalToLegacy(t *testing.T) {
-	legacy := sched.NewRandomAsync(42)
-	wrapped, err := New(Spec{Strategy: NameRandomAsync}, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wrapped.Name() != "random-async" {
-		t.Fatalf("wrapped name %q", wrapped.Name())
-	}
-	states := []robot.State{robot.Wait, robot.Move, robot.Wait, robot.Move}
-	env := Env{States: states}
-	cands := []int{0, 1, 2, 3}
-	for i := 0; i < 200; i++ {
-		if got, want := wrapped.Next(cands, env), legacy.Next(cands, states); got != want {
-			t.Fatalf("step %d: Next diverged: %d vs %d", i, got, want)
-		}
-		got, want := wrapped.Move(1, 3.5, env), legacy.Move(1, 3.5)
-		if got != want {
-			t.Fatalf("step %d: Move diverged: %+v vs %+v", i, got, want)
 		}
 	}
 }
@@ -202,7 +175,7 @@ func TestCrashStopsAfterFirstMove(t *testing.T) {
 
 func TestCrashSelectionIsSeedDeterministic(t *testing.T) {
 	pick := func(seed int64) int {
-		c := NewCrash(Wrap(sched.NewFair()), 1, seed)
+		c := NewCrash(NewFair(), 1, seed)
 		states := make([]robot.State, 6)
 		for i := range states {
 			states[i] = robot.Wait
@@ -222,7 +195,7 @@ func TestCrashSelectionIsSeedDeterministic(t *testing.T) {
 }
 
 func TestFaultsPerturbViewBoundedAndSelfExact(t *testing.T) {
-	f := NewFaults(Wrap(sched.NewFair()), 0.25, 0, 99)
+	f := NewFaults(NewFair(), 0.25, 0, 99)
 	self := geom.V(1, 1)
 	view := []geom.Vec{geom.V(5, 5), self, geom.V(-3, 2)}
 	for trial := 0; trial < 100; trial++ {
@@ -242,7 +215,7 @@ func TestFaultsPerturbViewBoundedAndSelfExact(t *testing.T) {
 }
 
 func TestFaultsPerturbMoveBounded(t *testing.T) {
-	f := NewFaults(Wrap(sched.NewFair()), 0, 0.5, 7)
+	f := NewFaults(NewFair(), 0, 0.5, 7)
 	for trial := 0; trial < 100; trial++ {
 		granted := 2.0
 		got := f.PerturbMove(0, granted, 3.0)

@@ -7,10 +7,13 @@
 //   - Strategy is the scheduling interface the simulator consults at every
 //     event: which robot acts next (Next, handed the full scheduling Env of
 //     states, centers and move targets) and how far a mover may advance
-//     (Move). Legacy sched.Adversary policies participate byte-identically
-//     through Wrap; the environment-aware strategies GreedyStall (delay the
-//     robot whose move would shrink the hull most) and RoundRobinLag
-//     (maximally skew activation phases) use the richer view.
+//     (Move). It is the only scheduling interface: the state-only policies
+//     Fair (the simulator's default), RandomAsync, StopHappy, SlowRobot and
+//     MoverStarver implement it directly, and the environment-aware
+//     strategies GreedyStall (delay the robot whose move would shrink the
+//     hull most) and RoundRobinLag (maximally skew activation phases) use
+//     the richer view. Package sched holds only the event vocabulary the
+//     interface speaks (EventKind, MoveAction, DefaultDelta).
 //   - Decorators compose faults onto any base strategy: Crash permanently
 //     stops k seeded-random robots after their first completed move
 //     (returning NoRobot once only crashed robots remain, which the simulator
@@ -25,7 +28,6 @@
 // Determinism contract: a Strategy owns all of its randomness, seeded at
 // construction, so a run is a pure function of (spec, seed, initial
 // configuration) — the property the engine's cell keys and the sweep store's
-// resume identity rely on. Fault-free legacy specs construct the exact
-// pre-fault adversaries and therefore reproduce historic results
-// byte-identically.
+// resume identity rely on. Every policy keeps the RNG call order it had when
+// it was first written, so historic results reproduce byte-identically.
 package adversary

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"github.com/fatgather/fatgather/internal/geom"
-	"github.com/fatgather/fatgather/internal/sched"
 )
 
 // Spec is the declarative description of an adversary: a base scheduling
@@ -15,8 +14,7 @@ import (
 // runnable Strategy.
 //
 // The zero value of every fault field means "off", so a Spec holding only a
-// legacy strategy name describes exactly the pre-fault-injection adversary
-// (and produces byte-identical schedules).
+// strategy name describes the undecorated base strategy.
 type Spec struct {
 	// Strategy is the base strategy name (one of Names). The special name
 	// "crash" is fair scheduling with Crash robots crash-stopped.
@@ -35,9 +33,9 @@ type Spec struct {
 	Trunc float64
 }
 
-// Base strategy names. The first five are the legacy sched policies; the
-// last three are the environment-aware strategies introduced with this
-// package.
+// Base strategy names. The first five are the state-only policies (they
+// rule on robot states alone); greedy-stall and round-robin-lag read the
+// geometry in Env, and crash is fair scheduling with crash-stop faults.
 const (
 	NameFair          = "fair"
 	NameRandomAsync   = "random-async"
@@ -215,8 +213,8 @@ func (n named) PerturbMove(id int, granted, remaining float64) float64 {
 
 // New constructs the runnable Strategy a spec describes, seeding every random
 // stream (base strategy, crash selection, fault noise) independently from
-// seed. Equal (spec, seed) pairs produce byte-identical schedules; fault-free
-// legacy specs reproduce the pre-fault adversaries exactly.
+// seed. Equal (spec, seed) pairs produce byte-identical schedules; a
+// fault-free spec builds the bare base strategy.
 func New(s Spec, seed int64) (Strategy, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -226,20 +224,25 @@ func New(s Spec, seed int64) (Strategy, error) {
 	}
 	var strat Strategy
 	switch s.Strategy {
-	case NameCrash:
-		// Crash-stop scheduling over the friendliest base: fair round-robin,
-		// so the table isolates the crash fault from scheduling hostility.
-		strat = Wrap(sched.NewFair())
+	case NameFair, NameCrash:
+		// "crash" is crash-stop scheduling over the friendliest base, fair
+		// round-robin, so the table isolates the crash fault from scheduling
+		// hostility.
+		strat = NewFair()
+	case NameRandomAsync:
+		strat = NewRandomAsync(seed)
+	case NameStopHappy:
+		strat = NewStopHappy(seed)
+	case NameSlowRobot:
+		strat = NewSlowRobot(seed, 0.25)
+	case NameMoverStarver:
+		strat = NewMoverStarver(seed)
 	case NameGreedyStall:
 		strat = NewGreedyStall()
 	case NameRoundRobinLag:
 		strat = NewRoundRobinLag()
 	default:
-		ctor, ok := sched.Registry(seed)[s.Strategy]
-		if !ok {
-			return nil, fmt.Errorf("adversary: unknown strategy %q", s.Strategy)
-		}
-		strat = Wrap(ctor())
+		return nil, fmt.Errorf("adversary: unknown strategy %q", s.Strategy)
 	}
 	if k := s.crashK(); k > 0 {
 		strat = NewCrash(strat, k, subseed(seed, 0xc7a54))

@@ -24,7 +24,9 @@ const greedyStarveLimit = 12
 // deterministic (no randomness): the worst schedule it finds is reproducible
 // from the configuration alone.
 type GreedyStall struct {
-	cursor  int
+	// rr activates the non-victims round-robin, with the fair strategy's
+	// cursor discipline.
+	rr      Fair
 	starved map[int]int
 	// lastVictim caches the victim computed by the most recent Next: the
 	// simulator always calls Next then (at most once, on the same Env) Move
@@ -77,7 +79,7 @@ func (g *GreedyStall) Next(candidates []int, env Env) int {
 	v := g.victimOf(env)
 	g.lastVictim = v
 	if v < 0 {
-		return g.roundRobin(candidates)
+		return g.rr.pick(candidates)
 	}
 	g.starved[v]++
 	if g.starved[v] >= greedyStarveLimit {
@@ -94,21 +96,7 @@ func (g *GreedyStall) Next(candidates []int, env Env) int {
 		g.starved[v] = 0
 		return v
 	}
-	return g.roundRobin(others)
-}
-
-// roundRobin picks the first candidate at or after the cursor, cyclically
-// (the same discipline as the fair adversary).
-func (g *GreedyStall) roundRobin(candidates []int) int {
-	best := candidates[0]
-	for _, c := range candidates {
-		if c >= g.cursor {
-			best = c
-			break
-		}
-	}
-	g.cursor = best + 1
-	return best
+	return g.rr.pick(others)
 }
 
 // Move implements Strategy: the current victim (cached from the Next call of
@@ -283,6 +271,11 @@ func (c *Crash) Move(id int, remaining float64, env Env) sched.MoveAction {
 
 // Compile-time interface checks.
 var (
+	_ Strategy = (*Fair)(nil)
+	_ Strategy = (*RandomAsync)(nil)
+	_ Strategy = (*StopHappy)(nil)
+	_ Strategy = (*SlowRobot)(nil)
+	_ Strategy = (*MoverStarver)(nil)
 	_ Strategy = (*GreedyStall)(nil)
 	_ Strategy = (*RoundRobinLag)(nil)
 	_ Strategy = (*Crash)(nil)

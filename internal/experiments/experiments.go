@@ -14,7 +14,6 @@ import (
 	"github.com/fatgather/fatgather/internal/geom"
 	"github.com/fatgather/fatgather/internal/metrics"
 	"github.com/fatgather/fatgather/internal/obs"
-	"github.com/fatgather/fatgather/internal/sched"
 	"github.com/fatgather/fatgather/internal/sim"
 	"github.com/fatgather/fatgather/internal/sweep"
 	"github.com/fatgather/fatgather/internal/sweep/netbackend"
@@ -122,7 +121,8 @@ type Config struct {
 	// per-group seed counts (and tables) as a single-process adaptive run.
 	ShardOwner string
 	// LeaseTTL is the lease expiry in cooperative mode (default
-	// sweep.DefaultLeaseTTL).
+	// sweep.DefaultLeaseTTL). It requires ShardOwner and may not exceed
+	// sweep.MaxLeaseHorizon.
 	LeaseTTL time.Duration
 	// Shards and ShardIndex statically partition the cell groups by a stable
 	// hash when Shards > 1: this process only runs groups with
@@ -143,6 +143,17 @@ type Config struct {
 
 // sharded reports whether any sharding mode is configured.
 func (c Config) sharded() bool { return c.ShardOwner != "" || c.Shards > 1 }
+
+// shard is the sweep-layer form of the sharding knobs.
+func (c Config) shard() sweep.Shard {
+	return sweep.Shard{
+		Owner:  c.ShardOwner,
+		TTL:    c.LeaseTTL,
+		Shards: c.Shards,
+		Index:  c.ShardIndex,
+		Steal:  c.Steal,
+	}
+}
 
 // Validate checks the configuration up front and returns a clear error for
 // combinations that would otherwise fail silently — most importantly a shard
@@ -185,23 +196,8 @@ func (c Config) Validate() error {
 	if c.ShardOwner != "" && c.SweepDir == "" && c.Coordinator == "" {
 		return fmt.Errorf("experiments: ShardOwner requires SweepDir or Coordinator (leases live in the shared sweep directory or on the coordinator)")
 	}
-	if c.LeaseTTL < 0 {
-		return fmt.Errorf("experiments: LeaseTTL must be non-negative, got %v", c.LeaseTTL)
-	}
-	if c.LeaseTTL > 0 && c.ShardOwner == "" {
-		return fmt.Errorf("experiments: LeaseTTL requires ShardOwner")
-	}
-	if c.Shards < 0 {
-		return fmt.Errorf("experiments: Shards must be non-negative, got %d", c.Shards)
-	}
-	if c.Shards > 1 && (c.ShardIndex < 0 || c.ShardIndex >= c.Shards) {
-		return fmt.Errorf("experiments: ShardIndex must be in [0, %d), got %d", c.Shards, c.ShardIndex)
-	}
-	if c.ShardIndex != 0 && c.Shards <= 1 {
-		return fmt.Errorf("experiments: ShardIndex %d requires Shards > 1, got %d", c.ShardIndex, c.Shards)
-	}
-	if c.Steal && c.ShardOwner == "" {
-		return fmt.Errorf("experiments: Steal requires ShardOwner (stealing is arbitrated through lease files)")
+	if err := c.shard().Validate(); err != nil {
+		return fmt.Errorf("experiments: %w", err)
 	}
 	return nil
 }
@@ -247,19 +243,17 @@ func openCoordinatorStore(coordinator, id string) (*sweep.Store, error) {
 	return st, nil
 }
 
-// runCells executes an experiment's cell grid through the resumable sweep
-// layer: workload generation is memoized per (kind, n, seed), results stream
-// to SweepDir/<id> when checkpointing is on, and adaptive seed scheduling
-// grows the grid when AdaptiveCI is set. With ShardOwner or Shards set, the
-// grid runs as one worker of a multi-process sharded sweep instead (cells
-// another shard owns and no store can merge are dropped from the returned
-// slice, so partial static tables aggregate only what actually ran);
-// adaptive scheduling composes with sharding through the cross-worker
-// protocol (sweep.RunAdaptiveSharded), so a fleet converges on the same
-// data-dependent grid — and tables — as a single adaptive process. The
-// returned results are otherwise identical to engine.Run on the same cells
-// (plus any adaptive replicas, reported in the GroupSeeds slice, which is nil
-// for fixed-seed runs).
+// runCells executes an experiment's cell grid through sweep.Run, the one
+// sweep entry point: workload generation is memoized per (kind, n, seed),
+// results stream to SweepDir/<id> (or the coordinator's <id> store) when
+// checkpointing is on, AdaptiveCI grows the grid adaptively, and ShardOwner
+// or Shards make the run one worker of a sharded sweep. sweep.Run picks its
+// loop from those settings, so a fleet converges on the same grid — and
+// tables — as a single process. Cells another static shard owns and no store
+// can merge are dropped from the returned slice. The results are otherwise
+// identical to engine.Run on the same cells, plus any adaptive replicas,
+// whose per-group seed counts come back in the GroupSeeds slice (nil for
+// fixed-seed runs).
 func (c Config) runCells(id string, cells []engine.Cell) ([]engine.CellResult, []sweep.GroupSeeds) {
 	// Telemetry: mark the sweep active for /progress while the grid drains.
 	// Write-only (one-way contract); the progress view never feeds back into
@@ -321,55 +315,28 @@ func (c Config) runCells(id string, cells []engine.Cell) ([]engine.CellResult, [
 			opts.Store = st
 		}
 	}
-	if sharded && c.ShardOwner != "" && opts.Store == nil {
+	if c.ShardOwner != "" && opts.Store == nil {
 		c.warnf("experiments: %s: lease-based sharding requires a sweep store; running unsharded", id)
-		sharded = false
-	}
-	shard := sweep.Shard{
-		Owner:  c.ShardOwner,
-		TTL:    c.LeaseTTL,
-		Shards: c.Shards,
-		Index:  c.ShardIndex,
-		Steal:  c.Steal,
-	}
-	reportShardStats := func(stats sweep.ShardStats) {
-		if stats.AppendErrs > 0 {
-			c.warnf("experiments: %s: %d results could not be checkpointed", id, stats.AppendErrs)
-		}
-		if stats.LeaseErrs > 0 {
-			c.warnf("experiments: %s: %d cell groups ran without a lease (lease dir trouble); peers may duplicate that work", id, stats.LeaseErrs)
-		}
-		if c.ShardOwner != "" {
-			// A per-worker accounting line (on the warning stream, the only
-			// side channel next to the shared tables): how the fleet's work
-			// actually split. CI smoke jobs assert on it.
-			c.warnf("experiments: %s: worker %s executed %d cells, restored %d (claimed %d groups, stole %d, reclaimed %d leases)",
-				id, c.ShardOwner, stats.Executed, stats.Restored, stats.GroupsClaimed, stats.GroupsStolen, stats.LeasesReclaimed)
-		}
+	} else {
+		opts.Shard = c.shard()
 	}
 	if c.AdaptiveCI > 0 {
-		ad := sweep.Adaptive{TargetCI: c.AdaptiveCI, MaxSeeds: c.AdaptiveMaxSeeds}
-		if sharded {
-			results, infos, stats := sweep.RunAdaptiveSharded(cells, opts, ad, shard)
-			reportShardStats(stats)
-			return sweep.DropNotClaimed(results), infos
-		}
-		results, infos, stats := sweep.RunAdaptive(cells, opts, ad)
-		if stats.AppendErrs > 0 {
-			c.warnf("experiments: %s: %d results could not be checkpointed", id, stats.AppendErrs)
-		}
-		return results, infos
-	}
-	if sharded {
-		results, stats := sweep.RunSharded(cells, opts, shard)
-		reportShardStats(stats)
-		return sweep.DropNotClaimed(results), nil
+		opts.Adaptive = sweep.Adaptive{TargetCI: c.AdaptiveCI, MaxSeeds: c.AdaptiveMaxSeeds}
 	}
 	results, stats := sweep.Run(cells, opts)
-	if stats.AppendErrs > 0 {
-		c.warnf("experiments: %s: %d results could not be checkpointed", id, stats.AppendErrs)
+	for _, w := range stats.Warnings() {
+		c.warnf("experiments: %s: %s", id, w)
 	}
-	return results, nil
+	if opts.Shard.Owner != "" {
+		// A per-worker accounting line (on the warning stream, the only side
+		// channel next to the shared tables): how the fleet's work actually
+		// split. CI smoke jobs assert on it.
+		c.warnf("experiments: %s: worker %s executed %d cells, restored %d (claimed %d groups, stole %d, reclaimed %d leases)",
+			id, c.ShardOwner, stats.Executed, stats.Restored, stats.GroupsClaimed, stats.GroupsStolen, stats.LeasesReclaimed)
+	}
+	// Cells another static shard owns and no store could merge are dropped,
+	// so partial tables aggregate only what actually ran.
+	return sweep.DropNotClaimed(results), stats.Groups
 }
 
 // collect folds cell results into groups in cell order (the streaming
@@ -428,10 +395,10 @@ func stampAdversary(cell *engine.Cell, spec adversary.Spec) {
 }
 
 // runOnce runs the paper's algorithm on one workload instance.
-func runOnce(cfg config.Geometric, adv sched.Adversary, maxEvents int, alg sim.Algorithm) sim.Result {
+func runOnce(cfg config.Geometric, adv adversary.Strategy, maxEvents int, alg sim.Algorithm) sim.Result {
 	res, err := sim.Run(cfg, sim.Options{
 		Algorithm:     alg,
-		Adversary:     adv,
+		Strategy:      adv,
 		MaxEvents:     maxEvents,
 		SnapshotEvery: snapshotEvery,
 	})
@@ -449,7 +416,7 @@ func fmtF2(x float64) string { return fmt.Sprintf("%.2f", x) }
 // counts per state-machine transition kind.
 func E1StateCycle(cfg Config) Table {
 	cfg = cfg.withDefaults()
-	res := runOnce(workload.TangentRing(2), sched.NewFair(), cfg.MaxEvents, nil)
+	res := runOnce(workload.TangentRing(2), adversary.NewFair(), cfg.MaxEvents, nil)
 	return Table{
 		ID:      "E1",
 		Title:   "Figure 1 — robot state-machine cycle (tangent pair, fair adversary)",
@@ -544,7 +511,7 @@ func E4StateCoverage(cfg Config) Table {
 		if err != nil {
 			continue
 		}
-		res := runOnce(w, sched.NewRandomAsync(7), cfg.MaxEvents/10, nil)
+		res := runOnce(w, adversary.NewRandomAsync(7), cfg.MaxEvents/10, nil)
 		// Fold in declaration order, not map order (gatherlint detmaprange);
 		// the sums commute, but the discipline is uniform.
 		for _, s := range core.AllAlgStates() {
@@ -639,7 +606,7 @@ func E6PhaseOne(cfg Config, n int) Table {
 			if err != nil {
 				continue
 			}
-			res := runOnce(w, sched.NewRandomAsync(int64(200+seed)), cfg.MaxEvents, nil)
+			res := runOnce(w, adversary.NewRandomAsync(int64(200+seed)), cfg.MaxEvents, nil)
 			ok := res.Milestones.SafeConfig >= 0
 			reached = append(reached, ok)
 			if ok {
@@ -728,7 +695,7 @@ func E8HullMonotonicity(cfg Config, n int) Table {
 		if err != nil {
 			continue
 		}
-		res := runOnce(w, sched.NewRandomAsync(303), cfg.MaxEvents, nil)
+		res := runOnce(w, adversary.NewRandomAsync(303), cfg.MaxEvents, nil)
 		series := res.HullAreaSeries
 		if len(series) == 0 {
 			continue
@@ -760,8 +727,13 @@ func E9Adversaries(cfg Config, n int) Table {
 		Title:   fmt.Sprintf("Lemma 25 — adversary strategies (n=%d, clustered workload)", n),
 		Columns: []string{"adversary", "runs", "gathered", "median events", "median stops", "median collisions"},
 	}
+	// Lemma 25's five state-only policies (E13 crosses every strategy).
+	names := []string{
+		adversary.NameFair, adversary.NameRandomAsync, adversary.NameStopHappy,
+		adversary.NameSlowRobot, adversary.NameMoverStarver,
+	}
 	var cells []engine.Cell
-	for _, name := range sched.Names() {
+	for _, name := range names {
 		for seed := 0; seed < cfg.Seeds; seed++ {
 			cells = append(cells, engine.Cell{
 				Workload:      workload.KindClustered,

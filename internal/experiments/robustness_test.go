@@ -7,6 +7,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"github.com/fatgather/fatgather/internal/sweep"
 )
 
 // quickRobustCfg keeps the robustness drivers fast: gathering rarely
@@ -226,6 +229,20 @@ func TestConfigValidate(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("Validate(%+v) = %v, want substring %q", tc.cfg, err, tc.want)
 		}
+	}
+}
+
+// TestConfigValidateRejectsLeaseTTLBeyondHorizon pins the shard validator at
+// the experiments entry point: a LeaseTTL past sweep.MaxLeaseHorizon would
+// fail every lease claim and run the whole fleet leaseless.
+func TestConfigValidateRejectsLeaseTTLBeyondHorizon(t *testing.T) {
+	cfg := Config{SweepDir: t.TempDir(), ShardOwner: "w1", LeaseTTL: 25 * time.Hour}
+	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "lease horizon") {
+		t.Fatalf("Validate(LeaseTTL 25h) = %v, want an error naming the lease horizon", err)
+	}
+	cfg.LeaseTTL = sweep.MaxLeaseHorizon
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("Validate(LeaseTTL = MaxLeaseHorizon) = %v, want nil", err)
 	}
 }
 

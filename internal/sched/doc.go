@@ -5,11 +5,7 @@
 // robot is scheduled infinitely often, and a moving robot always covers at
 // least min(delta, distance-to-target) before it can be stopped.
 //
-// This package holds the event-model vocabulary (EventKind, MoveAction,
-// DefaultDelta) and the legacy state-only scheduling policies (fair,
-// random-async, stop-happy, slow-robot, mover-starver). The simulator itself
-// schedules through the richer internal/adversary.Strategy interface; legacy
-// policies participate byte-identically via adversary.Wrap, and the
-// environment-aware strategies and fault decorators live in
-// internal/adversary.
+// This package holds only the event-model vocabulary: EventKind, MoveAction
+// and DefaultDelta. The scheduling policies themselves implement
+// internal/adversary.Strategy, the simulator's one scheduling interface.
 package sched

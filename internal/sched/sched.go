@@ -1,11 +1,6 @@
 package sched
 
-import (
-	"fmt"
-	"math/rand"
-
-	"github.com/fatgather/fatgather/internal/robot"
-)
+import "fmt"
 
 // DefaultDelta is the default minimum progress distance delta of the liveness
 // condition. The robots do not know it.
@@ -57,231 +52,3 @@ type MoveAction struct {
 	// reached its target.
 	Stop bool
 }
-
-// Adversary decides the schedule. Implementations own their randomness so
-// that runs are reproducible from their seed.
-type Adversary interface {
-	// Name identifies the strategy in reports.
-	Name() string
-	// Next picks which robot is activated next from the non-empty candidate
-	// list (indices of robots that are not terminated). states[i] is the
-	// current state of robot i.
-	Next(candidates []int, states []robot.State) int
-	// Move rules on one activation of the moving robot id whose remaining
-	// distance to target is remaining.
-	Move(id int, remaining float64) MoveAction
-}
-
-// --- Fair (round-robin, full-speed) adversary ---
-
-// Fair is the benign scheduler: robots are activated round-robin and always
-// reach their targets in a single Move activation. It is the "friendliest"
-// adversary allowed by the model.
-type Fair struct {
-	next int
-}
-
-// NewFair returns a fair round-robin adversary.
-func NewFair() *Fair { return &Fair{} }
-
-// Name implements Adversary.
-func (f *Fair) Name() string { return "fair" }
-
-// Next implements Adversary.
-func (f *Fair) Next(candidates []int, _ []robot.State) int {
-	// Pick the first candidate >= f.next (cyclically) to approximate
-	// round-robin over the original indices.
-	best := candidates[0]
-	found := false
-	for _, c := range candidates {
-		if c >= f.next {
-			best = c
-			found = true
-			break
-		}
-	}
-	if !found {
-		best = candidates[0]
-	}
-	f.next = best + 1
-	return best
-}
-
-// Move implements Adversary.
-func (f *Fair) Move(_ int, remaining float64) MoveAction {
-	return MoveAction{Distance: remaining}
-}
-
-// --- Random asynchronous adversary ---
-
-// RandomAsync activates uniformly random robots and lets them progress by a
-// random fraction of their remaining distance, randomly stopping them early.
-type RandomAsync struct {
-	rng      *rand.Rand
-	stopProb float64
-}
-
-// NewRandomAsync returns a random asynchronous adversary with the given seed.
-func NewRandomAsync(seed int64) *RandomAsync {
-	return &RandomAsync{rng: rand.New(rand.NewSource(seed)), stopProb: 0.3}
-}
-
-// Name implements Adversary.
-func (a *RandomAsync) Name() string { return "random-async" }
-
-// Next implements Adversary.
-func (a *RandomAsync) Next(candidates []int, _ []robot.State) int {
-	return candidates[a.rng.Intn(len(candidates))]
-}
-
-// Move implements Adversary.
-func (a *RandomAsync) Move(_ int, remaining float64) MoveAction {
-	frac := a.rng.Float64()
-	return MoveAction{
-		Distance: frac * remaining,
-		Stop:     a.rng.Float64() < a.stopProb,
-	}
-}
-
-// --- Stop-happy adversary ---
-
-// StopHappy stalls every mover: each Move activation advances only the
-// minimum the liveness condition allows and then stops the robot, maximizing
-// the number of Look-Compute-Move cycles needed.
-type StopHappy struct {
-	rng *rand.Rand
-}
-
-// NewStopHappy returns a stop-happy adversary with the given seed.
-func NewStopHappy(seed int64) *StopHappy {
-	return &StopHappy{rng: rand.New(rand.NewSource(seed))}
-}
-
-// Name implements Adversary.
-func (a *StopHappy) Name() string { return "stop-happy" }
-
-// Next implements Adversary.
-func (a *StopHappy) Next(candidates []int, _ []robot.State) int {
-	return candidates[a.rng.Intn(len(candidates))]
-}
-
-// Move implements Adversary.
-func (a *StopHappy) Move(_ int, _ float64) MoveAction {
-	// Distance 0 is clamped up to min(delta, remaining) by the simulator.
-	return MoveAction{Distance: 0, Stop: true}
-}
-
-// --- Slow-robot adversary ---
-
-// SlowRobot designates a subset of robots as "slow": their moves crawl by the
-// minimum progress each activation, while everyone else moves at full speed.
-// This realizes the adversarial strategy behind the paper's bad
-// configurations of type 1 and 2 (a robot still acting on a stale view while
-// the rest of the system has moved on).
-type SlowRobot struct {
-	rng  *rand.Rand
-	slow map[int]bool
-	frac float64
-}
-
-// NewSlowRobot returns a slow-robot adversary: each robot is independently
-// slow with probability frac (clamped to [0,1]).
-func NewSlowRobot(seed int64, frac float64) *SlowRobot {
-	if frac < 0 {
-		frac = 0
-	}
-	if frac > 1 {
-		frac = 1
-	}
-	return &SlowRobot{rng: rand.New(rand.NewSource(seed)), slow: make(map[int]bool), frac: frac}
-}
-
-// Name implements Adversary.
-func (a *SlowRobot) Name() string { return "slow-robot" }
-
-// Next implements Adversary.
-func (a *SlowRobot) Next(candidates []int, _ []robot.State) int {
-	return candidates[a.rng.Intn(len(candidates))]
-}
-
-// Move implements Adversary.
-func (a *SlowRobot) Move(id int, remaining float64) MoveAction {
-	isSlow, known := a.slow[id]
-	if !known {
-		isSlow = a.rng.Float64() < a.frac
-		a.slow[id] = isSlow
-	}
-	if isSlow {
-		return MoveAction{Distance: 0, Stop: false} // crawl by delta, stay in Move
-	}
-	return MoveAction{Distance: remaining}
-}
-
-// --- Mover-starving adversary ---
-
-// MoverStarver prefers to activate robots that are NOT currently moving,
-// letting movers linger in the Move state on stale views for as long as the
-// liveness condition allows — the scheduling pattern behind the paper's bad
-// configurations.
-type MoverStarver struct {
-	rng *rand.Rand
-}
-
-// NewMoverStarver returns a mover-starving adversary with the given seed.
-func NewMoverStarver(seed int64) *MoverStarver {
-	return &MoverStarver{rng: rand.New(rand.NewSource(seed))}
-}
-
-// Name implements Adversary.
-func (a *MoverStarver) Name() string { return "mover-starver" }
-
-// Next implements Adversary.
-func (a *MoverStarver) Next(candidates []int, states []robot.State) int {
-	var idle []int
-	for _, c := range candidates {
-		if states[c] != robot.Move {
-			idle = append(idle, c)
-		}
-	}
-	// Mostly pick idle robots, but occasionally (1 in 8) advance a mover so
-	// that the liveness condition ("every robot takes infinitely many steps")
-	// is respected.
-	if len(idle) > 0 && a.rng.Intn(8) != 0 {
-		return idle[a.rng.Intn(len(idle))]
-	}
-	return candidates[a.rng.Intn(len(candidates))]
-}
-
-// Move implements Adversary.
-func (a *MoverStarver) Move(_ int, remaining float64) MoveAction {
-	if a.rng.Intn(4) == 0 {
-		return MoveAction{Distance: remaining}
-	}
-	return MoveAction{Distance: 0, Stop: false}
-}
-
-// Registry returns the named adversary constructors available to the CLI and
-// the experiment harness, keyed by name.
-func Registry(seed int64) map[string]func() Adversary {
-	return map[string]func() Adversary{
-		"fair":          func() Adversary { return NewFair() },
-		"random-async":  func() Adversary { return NewRandomAsync(seed) },
-		"stop-happy":    func() Adversary { return NewStopHappy(seed) },
-		"slow-robot":    func() Adversary { return NewSlowRobot(seed, 0.25) },
-		"mover-starver": func() Adversary { return NewMoverStarver(seed) },
-	}
-}
-
-// Names returns the registry keys in a stable order.
-func Names() []string {
-	return []string{"fair", "random-async", "stop-happy", "slow-robot", "mover-starver"}
-}
-
-// Compile-time interface checks.
-var (
-	_ Adversary = (*Fair)(nil)
-	_ Adversary = (*RandomAsync)(nil)
-	_ Adversary = (*StopHappy)(nil)
-	_ Adversary = (*SlowRobot)(nil)
-	_ Adversary = (*MoverStarver)(nil)
-)

@@ -1,18 +1,6 @@
 package sched
 
-import (
-	"testing"
-
-	"github.com/fatgather/fatgather/internal/robot"
-)
-
-func allStates(n int, s robot.State) []robot.State {
-	out := make([]robot.State, n)
-	for i := range out {
-		out[i] = s
-	}
-	return out
-}
+import "testing"
 
 func TestEventKindString(t *testing.T) {
 	kinds := []EventKind{EventLook, EventCompute, EventDone, EventMove, EventStop, EventCollide, EventArrive}
@@ -24,125 +12,5 @@ func TestEventKindString(t *testing.T) {
 	}
 	if EventKind(42).String() == "" {
 		t.Fatal("unknown kind should stringify")
-	}
-}
-
-func TestFairRoundRobin(t *testing.T) {
-	f := NewFair()
-	candidates := []int{0, 1, 2, 3}
-	states := allStates(4, robot.Wait)
-	seen := map[int]int{}
-	for i := 0; i < 8; i++ {
-		seen[f.Next(candidates, states)]++
-	}
-	for id, count := range seen {
-		if count != 2 {
-			t.Fatalf("fair adversary scheduled robot %d %d times in 8 rounds", id, count)
-		}
-	}
-	act := f.Move(0, 7.5)
-	if act.Distance != 7.5 || act.Stop {
-		t.Fatalf("fair move = %+v", act)
-	}
-}
-
-func TestFairSkipsTerminated(t *testing.T) {
-	f := NewFair()
-	// Only robots 1 and 3 remain.
-	candidates := []int{1, 3}
-	states := allStates(4, robot.Wait)
-	for i := 0; i < 6; i++ {
-		got := f.Next(candidates, states)
-		if got != 1 && got != 3 {
-			t.Fatalf("fair scheduled non-candidate %d", got)
-		}
-	}
-}
-
-func TestRandomAsyncDeterministicPerSeed(t *testing.T) {
-	a1 := NewRandomAsync(5)
-	a2 := NewRandomAsync(5)
-	candidates := []int{0, 1, 2, 3, 4}
-	states := allStates(5, robot.Wait)
-	for i := 0; i < 50; i++ {
-		if a1.Next(candidates, states) != a2.Next(candidates, states) {
-			t.Fatal("same seed should give the same schedule")
-		}
-		m1 := a1.Move(0, 3)
-		m2 := a2.Move(0, 3)
-		if m1 != m2 {
-			t.Fatal("same seed should give the same move actions")
-		}
-		if m1.Distance < 0 || m1.Distance > 3 {
-			t.Fatalf("move distance out of range: %v", m1.Distance)
-		}
-	}
-}
-
-func TestStopHappyAlwaysStops(t *testing.T) {
-	a := NewStopHappy(1)
-	for i := 0; i < 10; i++ {
-		act := a.Move(i, 5)
-		if !act.Stop {
-			t.Fatal("stop-happy must request a stop")
-		}
-		if act.Distance != 0 {
-			t.Fatal("stop-happy requests minimal progress")
-		}
-	}
-	if got := a.Next([]int{2, 4}, allStates(5, robot.Wait)); got != 2 && got != 4 {
-		t.Fatalf("picked non-candidate %d", got)
-	}
-}
-
-func TestSlowRobotConsistency(t *testing.T) {
-	a := NewSlowRobot(3, 0.5)
-	first := a.Move(7, 10)
-	for i := 0; i < 5; i++ {
-		if a.Move(7, 10) != first {
-			t.Fatal("a robot's slow/fast designation must not change")
-		}
-	}
-	// Fraction clamping.
-	if NewSlowRobot(1, -2).frac != 0 || NewSlowRobot(1, 5).frac != 1 {
-		t.Fatal("fraction should be clamped to [0,1]")
-	}
-}
-
-func TestMoverStarverPrefersIdle(t *testing.T) {
-	a := NewMoverStarver(9)
-	states := allStates(4, robot.Move)
-	states[2] = robot.Wait
-	idlePicks := 0
-	const rounds = 200
-	for i := 0; i < rounds; i++ {
-		if a.Next([]int{0, 1, 2, 3}, states) == 2 {
-			idlePicks++
-		}
-	}
-	if idlePicks < rounds/2 {
-		t.Fatalf("mover-starver picked the idle robot only %d/%d times", idlePicks, rounds)
-	}
-	act := a.Move(0, 4)
-	if act.Distance < 0 || act.Distance > 4 {
-		t.Fatalf("move distance out of range: %v", act.Distance)
-	}
-}
-
-func TestRegistryAndNames(t *testing.T) {
-	reg := Registry(1)
-	names := Names()
-	if len(reg) != len(names) {
-		t.Fatalf("registry has %d entries, names %d", len(reg), len(names))
-	}
-	for _, name := range names {
-		ctor, ok := reg[name]
-		if !ok {
-			t.Fatalf("name %q missing from registry", name)
-		}
-		adv := ctor()
-		if adv.Name() != name {
-			t.Fatalf("adversary %q reports name %q", name, adv.Name())
-		}
 	}
 }

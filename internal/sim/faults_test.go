@@ -152,8 +152,8 @@ func TestTruncationSlowsButNeverFreezes(t *testing.T) {
 	}
 }
 
-// TestLegacyAdversaryOptionStillWorks pins backward compatibility: Options
-// with only the legacy Adversary field must behave as before (wrapped fair).
+// TestLegacyAdversaryOptionStillWorks pins the default scheduler: Options
+// with no Strategy run the fair round-robin strategy.
 func TestLegacyAdversaryOptionStillWorks(t *testing.T) {
 	res, err := Run(workload.TangentRing(2), Options{MaxEvents: 2000})
 	if err != nil {

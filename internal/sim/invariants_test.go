@@ -5,8 +5,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/fatgather/fatgather/internal/adversary"
 	"github.com/fatgather/fatgather/internal/geom"
-	"github.com/fatgather/fatgather/internal/sched"
 	"github.com/fatgather/fatgather/internal/workload"
 )
 
@@ -27,7 +27,7 @@ func TestStepInvariantsProperty(t *testing.T) {
 	)
 	rng := rand.New(rand.NewSource(20260728))
 	kinds := workload.Kinds()
-	advNames := sched.Names()
+	advNames := stateOnlyNames
 
 	for c := 0; c < combos; c++ {
 		kind := kinds[rng.Intn(len(kinds))]
@@ -39,8 +39,7 @@ func TestStepInvariantsProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("generate %s n=%d: %v", kind, n, err)
 		}
-		adv := sched.Registry(seed + 77)[advName]()
-		s, err := New(w, Options{Adversary: adv, MaxEvents: maxEvents})
+		s, err := New(w, Options{Strategy: strategy(t, advName, seed+77), MaxEvents: maxEvents})
 		if err != nil {
 			t.Fatalf("%s n=%d seed=%d: %v", kind, n, seed, err)
 		}
@@ -83,7 +82,7 @@ func TestValidateEveryEventAgrees(t *testing.T) {
 			t.Fatal(err)
 		}
 		res, err := Run(w, Options{
-			Adversary:          sched.NewRandomAsync(seed + 5),
+			Strategy:           adversary.NewRandomAsync(seed + 5),
 			MaxEvents:          6000,
 			ValidateEveryEvent: true,
 		})

@@ -141,13 +141,13 @@ func TestLivelockWindowDefersCertification(t *testing.T) {
 // detector off. The two-robot configuration gathers and terminates under
 // every registered adversary (see TestTwoRobotsGatherUnderEveryAdversary).
 func TestHealthyRunsUnaffected(t *testing.T) {
-	for _, name := range sched.Names() {
+	for _, name := range stateOnlyNames {
 		cfg := config.Geometric{geom.V(0, 0), geom.V(9, 3)}
-		on, err := Run(cfg, Options{Adversary: sched.Registry(11)[name](), MaxEvents: 150000})
+		on, err := Run(cfg, Options{Strategy: strategy(t, name, 11), MaxEvents: 150000})
 		if err != nil {
 			t.Fatal(err)
 		}
-		off, err := Run(cfg, Options{Adversary: sched.Registry(11)[name](), MaxEvents: 150000, NoLivelockDetection: true})
+		off, err := Run(cfg, Options{Strategy: strategy(t, name, 11), MaxEvents: 150000, NoLivelockDetection: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -133,13 +133,9 @@ type Options struct {
 	Algorithm Algorithm
 	// Strategy is the scheduling strategy (internal/adversary); it owns event
 	// selection and may carry fault decorators (crash-stop, sensor noise,
-	// movement truncation). When nil, Adversary (wrapped) or the fair
-	// strategy is used.
+	// movement truncation). nil means adversary.NewFair(), the fair
+	// round-robin scheduler.
 	Strategy adversary.Strategy
-	// Adversary is the legacy scheduler hook, consulted only when Strategy is
-	// nil; nil means sched.NewFair(). A wrapped legacy adversary schedules
-	// byte-identically to the pre-Strategy simulator.
-	Adversary sched.Adversary
 	// Vision is the visibility model; nil means vision.Default.
 	Vision *vision.Model
 	// Delta is the liveness minimum-progress distance; <=0 means
@@ -184,11 +180,7 @@ func (o Options) withDefaults() Options {
 		o.Algorithm = PaperAlgorithm{}
 	}
 	if o.Strategy == nil {
-		if o.Adversary != nil {
-			o.Strategy = adversary.Wrap(o.Adversary)
-		} else {
-			o.Strategy = adversary.Wrap(sched.NewFair())
-		}
+		o.Strategy = adversary.NewFair()
 	}
 	if o.Vision == nil {
 		o.Vision = vision.Default

@@ -5,14 +5,31 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/fatgather/fatgather/internal/adversary"
 	"github.com/fatgather/fatgather/internal/config"
 	"github.com/fatgather/fatgather/internal/core"
 	"github.com/fatgather/fatgather/internal/geom"
-	"github.com/fatgather/fatgather/internal/sched"
 	"github.com/fatgather/fatgather/internal/workload"
 )
 
 func v(x, y float64) geom.Vec { return geom.V(x, y) }
+
+// stateOnlyNames are the five scheduling policies that rule on robot states
+// alone.
+var stateOnlyNames = []string{
+	adversary.NameFair, adversary.NameRandomAsync, adversary.NameStopHappy,
+	adversary.NameSlowRobot, adversary.NameMoverStarver,
+}
+
+// strategy builds the named base strategy with the given seed.
+func strategy(t testing.TB, name string, seed int64) adversary.Strategy {
+	t.Helper()
+	s, err := adversary.New(adversary.Spec{Strategy: name}, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
 
 func TestNewRejectsInvalidInitial(t *testing.T) {
 	if _, err := New(config.Geometric{v(0, 0), v(1, 0)}, Options{}); !errors.Is(err, ErrInvalidInitial) {
@@ -48,12 +65,11 @@ func TestSingleRobotTerminatesImmediately(t *testing.T) {
 }
 
 func TestTwoRobotsGatherUnderEveryAdversary(t *testing.T) {
-	for _, name := range sched.Names() {
+	for _, name := range stateOnlyNames {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			adv := sched.Registry(11)[name]()
 			res, err := Run(config.Geometric{v(0, 0), v(9, 3)}, Options{
-				Adversary:          adv,
+				Strategy:           strategy(t, name, 11),
 				MaxEvents:          30000,
 				ValidateEveryEvent: true,
 			})
@@ -86,7 +102,7 @@ func TestSmallClusterGathersAndTerminates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(cfg, Options{Adversary: sched.NewRandomAsync(42), MaxEvents: 150000})
+		res, err := Run(cfg, Options{Strategy: adversary.NewRandomAsync(42), MaxEvents: 150000})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +127,7 @@ func TestNoOverlapInvariantThroughoutRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := Run(cfg, Options{
-		Adversary:          sched.NewStopHappy(5),
+		Strategy:           adversary.NewStopHappy(5),
 		MaxEvents:          40000,
 		ValidateEveryEvent: true,
 	})
@@ -129,7 +145,7 @@ func TestStopWhenGathered(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := Run(cfg, Options{
-		Adversary:        sched.NewRandomAsync(9),
+		Strategy:         adversary.NewRandomAsync(9),
 		StopWhenGathered: true,
 		MaxEvents:        150000,
 	})
@@ -233,7 +249,7 @@ func (gravityForTest) Decide(view core.View) core.Decision {
 func TestStateVisitsCopyIsCompleteAndReproducible(t *testing.T) {
 	run := func() Result {
 		res, err := Run(config.Geometric{v(0, 0), v(6, 2), v(-3, 5)}, Options{
-			Adversary: sched.Registry(41)["random-async"](),
+			Strategy:  strategy(t, adversary.NameRandomAsync, 41),
 			MaxEvents: 50000,
 		})
 		if err != nil {

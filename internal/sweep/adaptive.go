@@ -4,7 +4,6 @@ import (
 	"github.com/fatgather/fatgather/internal/engine"
 	"github.com/fatgather/fatgather/internal/metrics"
 	"github.com/fatgather/fatgather/internal/obs"
-	"github.com/fatgather/fatgather/internal/sim"
 )
 
 // Telemetry (internal/obs): open/closed group gauges, write-only per the
@@ -20,36 +19,34 @@ const DefaultMaxSeeds = 32
 
 // Adaptive configures adaptive seed scheduling: after the initial replicas,
 // every cell group (same cell modulo seeds) keeps receiving one extra seed
-// replica per round until the 95% confidence interval half-width of Metric
-// over the group's successful runs falls to TargetCI or below, or the group
-// reaches MaxSeeds replicas.
+// replica per round until the 95% confidence interval half-width of its
+// event count over the group's successful runs falls to TargetCI or below,
+// or the group reaches MaxSeeds replicas. The zero value turns adaptive
+// scheduling off: the input cells run as a fixed grid.
 type Adaptive struct {
-	// TargetCI is the 95% CI half-width to reach (same unit as Metric).
+	// TargetCI is the 95% CI half-width to reach, in events.
 	TargetCI float64
 	// MaxSeeds caps the replicas per group (default DefaultMaxSeeds). The
 	// initial replicas count against the cap.
 	MaxSeeds int
-	// Metric extracts the observable whose confidence interval is tracked;
-	// nil means the event count (the cost measure every experiment reports).
-	Metric func(sim.Result) float64
 }
 
+// withDefaults fills in the seed cap of an adaptive configuration. The zero
+// value stays zero, and its stopAt closes every group at its input
+// replicas: a fixed grid is an adaptive grid capped at what it was given.
 func (a Adaptive) withDefaults() Adaptive {
-	if a.MaxSeeds <= 0 {
+	if a != (Adaptive{}) && a.MaxSeeds <= 0 {
 		a.MaxSeeds = DefaultMaxSeeds
-	}
-	if a.Metric == nil {
-		a.Metric = func(r sim.Result) float64 { return float64(r.Events) }
 	}
 	return a
 }
 
-// stopAt is the adaptive stopping rule, shared by the single-process and the
-// sharded scheduler so both walk the exact same deterministic trajectory: a
-// group stops growing after seeds replicas when it hit the cap, when the CI
-// over the successful runs' metric values reached the target, or when every
+// stopAt is the adaptive stopping rule, shared by the round loop and the
+// claim loop so both walk the exact same deterministic trajectory: a group
+// stops growing after seeds replicas when it hit the cap, when the CI over
+// the successful runs' event counts reached the target, or when every
 // replica so far failed to run (more seeds cannot tighten an interval that
-// has no observations). values must be the metric values of the successful
+// has no observations). values must be the event counts of the successful
 // runs among exactly the first seeds replicas.
 func (a Adaptive) stopAt(seeds int, values []float64) bool {
 	if seeds >= a.MaxSeeds {
@@ -82,7 +79,7 @@ type GroupSeeds struct {
 	Key string
 	// Seeds is the number of seed replicas the group actually consumed.
 	Seeds int
-	// HalfWidth is the final 95% CI half-width of the metric over the
+	// HalfWidth is the final 95% CI half-width of the event count over the
 	// group's successful runs (+Inf with fewer than two successes).
 	HalfWidth float64
 	// Converged reports whether the group reached the target (false means it
@@ -98,96 +95,64 @@ func groupKeyOf(c engine.Cell) string {
 	return c.Key()
 }
 
-// adaptiveGroup is the running state of one cell group.
-type adaptiveGroup struct {
-	key     string
-	sample  engine.Cell
-	values  []float64
+// cellGroup is one cell group of a sweep: the cells that differ only in
+// their seeds.
+type cellGroup struct {
+	key    string
+	sample engine.Cell
+	// initial holds the group's input replicas, in input order.
+	initial []engine.Cell
+	// foreign marks a group outside this worker's static share.
+	foreign bool
+
+	// The round loop's trajectory so far: replicas observed, event counts
+	// of the successful ones, and the largest workload seed consumed.
 	seeds   int
+	values  []float64
 	maxSeed int64
+	// merged marks a foreign group whose closed trajectory the shared
+	// store holds, so the round loop merges its extra replicas too.
+	merged bool
+
+	// final is the claim loop's closed trajectory, results collected.
+	final *adaptiveProgress
 }
 
-// RunAdaptive runs the cells with adaptive seed scheduling on top of the
-// resumable store. The input cells are the initial replicas; extra replicas
-// are derived deterministically (workload seed maxSeed+1, adversary seed via
-// engine.DeriveSeed, exactly like Batch.Cells), so an adaptive sweep is as
-// reproducible — and as resumable — as a fixed one. Results are returned in
-// deterministic order: the input cells first, then each round's extra
-// replicas in group order; OnResult streams them in that same order.
-func RunAdaptive(cells []engine.Cell, opts Options, ad Adaptive) ([]engine.CellResult, []GroupSeeds, Stats) {
-	ad = ad.withDefaults()
-	var (
-		all     []engine.CellResult
-		stats   Stats
-		order   []string
-		groups  = make(map[string]*adaptiveGroup)
-		pending = cells
-	)
-	observe := func(r engine.CellResult) {
-		key := groupKeyOf(r.Cell)
-		g, ok := groups[key]
+// groupCells partitions cells into cell groups in first-seen (and hence
+// deterministic) order; of[i] is the group of cells[i].
+func groupCells(cells []engine.Cell) (groups, of []*cellGroup) {
+	byKey := make(map[string]*cellGroup)
+	of = make([]*cellGroup, len(cells))
+	for i, c := range cells {
+		key := groupKeyOf(c)
+		g, ok := byKey[key]
 		if !ok {
-			g = &adaptiveGroup{key: key, sample: r.Cell}
-			groups[key] = g
-			order = append(order, key)
+			g = &cellGroup{key: key, sample: c}
+			byKey[key] = g
+			groups = append(groups, g)
 		}
-		g.seeds++
-		if r.Cell.WorkloadSeed > g.maxSeed {
-			g.maxSeed = r.Cell.WorkloadSeed
-		}
-		if r.Err == nil {
-			g.values = append(g.values, ad.Metric(r.Result))
-		}
+		g.initial = append(g.initial, c)
+		of[i] = g
 	}
-	userOnResult := opts.OnResult
-	offset := 0
-	if userOnResult != nil {
-		opts.OnResult = func(r engine.CellResult) {
-			r.Index += offset // round-local to global
-			userOnResult(r)
-		}
-	}
-	for len(pending) > 0 {
-		offset = len(all)
-		res, st := Run(pending, opts)
-		stats.Executed += st.Executed
-		stats.Restored += st.Restored
-		stats.AppendErrs += st.AppendErrs
-		for i := range res {
-			res[i].Index = len(all) + i // re-index from round-local to global
-			observe(res[i])
-		}
-		all = append(all, res...)
-		// The group set grows as rounds discover cells; keep the live total
-		// current for /progress.
-		obs.SweepGroups(len(order))
+	return groups, of
+}
 
-		pending = pending[:0:0]
-		open := 0
-		for _, key := range order {
-			g := groups[key]
-			hw := metrics.CI95HalfWidth(g.values)
-			if ad.stopAt(g.seeds, g.values) {
-				obs.SweepAdaptive(key, g.seeds, hw, true)
-				continue
-			}
-			open++
-			obs.SweepAdaptive(key, g.seeds, hw, false)
-			pending = append(pending, nextReplica(g.sample, g.maxSeed))
-		}
-		obsAdaptiveOpen.Set(float64(open))
-		obsAdaptiveClosed.Set(float64(len(order) - open))
+// observe advances the round loop's trajectory by one result. A static
+// shard's unclaimed placeholder is not a replica and is skipped.
+func (g *cellGroup) observe(r engine.CellResult) {
+	if isNotClaimed(r.Err) {
+		return
 	}
-	infos := make([]GroupSeeds, 0, len(order))
-	for _, key := range order {
-		g := groups[key]
-		hw := metrics.CI95HalfWidth(g.values)
-		infos = append(infos, GroupSeeds{
-			Key:       key,
-			Seeds:     g.seeds,
-			HalfWidth: hw,
-			Converged: hw <= ad.TargetCI,
-		})
+	g.seeds++
+	if r.Cell.WorkloadSeed > g.maxSeed {
+		g.maxSeed = r.Cell.WorkloadSeed
 	}
-	return all, infos, stats
+	if r.Err == nil {
+		g.values = append(g.values, float64(r.Result.Events))
+	}
+}
+
+// info summarizes a group's trajectory for Stats.Groups.
+func (g *cellGroup) info(ad Adaptive, seeds int, halfWidth float64) GroupSeeds {
+	return GroupSeeds{Key: g.key, Seeds: seeds, HalfWidth: halfWidth, Converged: halfWidth <= ad.TargetCI}
 }

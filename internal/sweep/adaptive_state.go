@@ -74,15 +74,6 @@ func (a adaptiveState) marshal() []byte {
 	return append(body, '\n')
 }
 
-// stateSink is the adaptive-state corner of the Backend interface: opaque
-// per-group bodies published atomically and read back best-effort. Both
-// fsStateDir (the adaptive/ directory of a sweep directory) and every full
-// Backend satisfy it.
-type stateSink interface {
-	PublishState(group, owner string, body []byte) error
-	LoadState(group string) (body []byte, ok bool, err error)
-}
-
 // fsStateDir publishes adaptive-state records into one adaptive/ directory.
 // The discipline mirrors the lease files: a record is materialized in a temp
 // file first and enters the directory atomically (hard-link for the first
@@ -109,12 +100,8 @@ func (d fsStateDir) LoadState(group string) ([]byte, bool, error) {
 	return data, true, nil
 }
 
-// PublishState atomically replaces a group's state record; the owner keys the
+// publish atomically replaces a group's state record; the owner keys the
 // temp file so concurrent publishers never collide before the atomic step.
-func (d fsStateDir) PublishState(group, owner string, body []byte) error {
-	return d.publish(group, owner, body)
-}
-
 func (d fsStateDir) publish(group, owner string, body []byte) error {
 	if err := os.MkdirAll(d.dir, 0o755); err != nil {
 		return fmt.Errorf("sweep: create adaptive dir: %w", err)
@@ -140,30 +127,11 @@ func (d fsStateDir) publish(group, owner string, body []byte) error {
 }
 
 // adaptivePublisher reads and atomically publishes adaptive-state records
-// through a state sink — the adaptive/ directory of a sweep directory, or
-// whatever Backend the sweep coordinates over.
+// through the backend the sweep coordinates over, the same medium that
+// carries its records and leases.
 type adaptivePublisher struct {
-	fs    fsStateDir // FS path helper; zero when the sink is not a directory
-	sink  stateSink
+	sink  Backend
 	owner string
-}
-
-func newAdaptivePublisher(sweepDir, owner string) *adaptivePublisher {
-	d := fsStateDir{dir: filepath.Join(sweepDir, adaptiveDir)}
-	return &adaptivePublisher{fs: d, sink: d, owner: owner}
-}
-
-// newStatePublisher is newAdaptivePublisher over an arbitrary backend: the
-// cooperating adaptive runners publish through the same medium that carries
-// the records and leases.
-func newStatePublisher(b Backend, owner string) *adaptivePublisher {
-	return &adaptivePublisher{sink: b, owner: owner}
-}
-
-// pathFor returns the state file path for a cell group of a directory-backed
-// publisher (tests inspect and corrupt records through it).
-func (p *adaptivePublisher) pathFor(groupKey string) string {
-	return p.fs.pathFor(groupKey)
 }
 
 // read returns the published state of a cell group. ok is false when the

@@ -6,9 +6,16 @@ import (
 	"testing"
 
 	"github.com/fatgather/fatgather/internal/engine"
-	"github.com/fatgather/fatgather/internal/sim"
 	"github.com/fatgather/fatgather/internal/workload"
 )
+
+// runAdaptive is Run with adaptive seed scheduling, the per-group seed
+// report split out beside the results.
+func runAdaptive(cells []engine.Cell, opts Options, ad Adaptive) ([]engine.CellResult, []GroupSeeds, Stats) {
+	opts.Adaptive = ad
+	res, stats := Run(cells, opts)
+	return res, stats.Groups, stats
+}
 
 // adaptiveCells: two groups (n=3 and n=4), two initial seed replicas each.
 func adaptiveCells() []engine.Cell {
@@ -23,7 +30,7 @@ func adaptiveCells() []engine.Cell {
 func TestRunAdaptiveAlreadyConverged(t *testing.T) {
 	cells := adaptiveCells()
 	// An enormous target: the initial replicas are already tight enough.
-	res, infos, stats := RunAdaptive(cells, Options{}, Adaptive{TargetCI: math.MaxFloat64})
+	res, infos, stats := runAdaptive(cells, Options{}, Adaptive{TargetCI: math.MaxFloat64})
 	if len(res) != len(cells) {
 		t.Fatalf("converged run added cells: %d results for %d cells", len(res), len(cells))
 	}
@@ -43,7 +50,7 @@ func TestRunAdaptiveAlreadyConverged(t *testing.T) {
 func TestRunAdaptiveGrowsToCap(t *testing.T) {
 	cells := adaptiveCells()
 	// An impossible target: every group must grow to the seed cap.
-	res, infos, _ := RunAdaptive(cells, Options{}, Adaptive{TargetCI: 1e-12, MaxSeeds: 4})
+	res, infos, _ := runAdaptive(cells, Options{}, Adaptive{TargetCI: 1e-12, MaxSeeds: 4})
 	if len(res) != 8 { // 2 groups x 4 seeds
 		t.Fatalf("expected 8 results, got %d", len(res))
 	}
@@ -74,19 +81,18 @@ func TestRunAdaptiveGrowsToCap(t *testing.T) {
 
 func TestRunAdaptiveDeterministicAndResumable(t *testing.T) {
 	cells := adaptiveCells()
-	ad := Adaptive{TargetCI: 50, MaxSeeds: 6,
-		Metric: func(r sim.Result) float64 { return float64(r.Events) }}
+	ad := Adaptive{TargetCI: 50, MaxSeeds: 6}
 
 	dir := t.TempDir()
 	st, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res1, infos1, stats1 := RunAdaptive(cells, Options{Store: st, Cache: workload.NewCache()}, ad)
+	res1, infos1, stats1 := runAdaptive(cells, Options{Store: st, Cache: workload.NewCache()}, ad)
 	st.Close()
 
 	// Same schedule without a store: adaptive growth is deterministic.
-	res2, infos2, _ := RunAdaptive(cells, Options{}, ad)
+	res2, infos2, _ := runAdaptive(cells, Options{}, ad)
 	if !reflect.DeepEqual(infos1, infos2) {
 		t.Fatalf("adaptive schedules diverged:\n%+v\nvs\n%+v", infos1, infos2)
 	}
@@ -103,7 +109,7 @@ func TestRunAdaptiveDeterministicAndResumable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	res3, infos3, stats3 := RunAdaptive(cells, Options{Store: re}, ad)
+	res3, infos3, stats3 := runAdaptive(cells, Options{Store: re}, ad)
 	if stats3.Executed != 0 {
 		t.Fatalf("resumed adaptive run executed %d cells, want 0 (fresh executed %d)", stats3.Executed, stats1.Executed)
 	}
@@ -120,7 +126,7 @@ func TestRunAdaptiveDeterministicAndResumable(t *testing.T) {
 
 func TestRunAdaptiveGivesUpOnDeadGroups(t *testing.T) {
 	cells := []engine.Cell{{Workload: "bogus", N: 3, MaxEvents: 100}}
-	res, infos, _ := RunAdaptive(cells, Options{}, Adaptive{TargetCI: 1, MaxSeeds: 16})
+	res, infos, _ := runAdaptive(cells, Options{}, Adaptive{TargetCI: 1, MaxSeeds: 16})
 	if len(res) > 2 {
 		t.Fatalf("dead group kept growing: %d results", len(res))
 	}

@@ -285,7 +285,7 @@ func (b *FSBackend) ReleaseLease(group, owner string) error {
 
 // PublishState atomically publishes a group's adaptive-state record.
 func (b *FSBackend) PublishState(group, owner string, body []byte) error {
-	return b.st.PublishState(group, owner, body)
+	return b.st.publish(group, owner, body)
 }
 
 // LoadState reads a group's adaptive-state record; missing or unreadable

@@ -296,7 +296,7 @@ func testTwoWorkerByteIdentical(t *testing.T, connect func() sweep.Backend) {
 
 	const workers = 2
 	outs := make([][]engine.CellResult, workers)
-	stats := make([]sweep.ShardStats, workers)
+	stats := make([]sweep.Stats, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -309,7 +309,7 @@ func testTwoWorkerByteIdentical(t *testing.T, connect func() sweep.Backend) {
 			}
 			defer st.Close()
 			sh := sweep.Shard{Owner: fmt.Sprintf("w%d", w), TTL: 5 * time.Second, Poll: 10 * time.Millisecond}
-			outs[w], stats[w] = sweep.RunSharded(cells, sweep.Options{Store: st, Cache: workload.NewCache()}, sh)
+			outs[w], stats[w] = sweep.Run(cells, sweep.Options{Store: st, Cache: workload.NewCache(), Shard: sh})
 		}(w)
 	}
 	wg.Wait()
@@ -339,7 +339,8 @@ func testTwoWorkerByteIdentical(t *testing.T, connect func() sweep.Backend) {
 func testTwoWorkerAdaptive(t *testing.T, connect func() sweep.Backend) {
 	cells := Cells(2)
 	ad := sweep.Adaptive{TargetCI: 1e-9, MaxSeeds: 3}
-	refRes, refSeeds, _ := sweep.RunAdaptive(cells, sweep.Options{Cache: workload.NewCache()}, ad)
+	refRes, refStats := sweep.Run(cells, sweep.Options{Cache: workload.NewCache(), Adaptive: ad})
+	refSeeds := refStats.Groups
 
 	vandal := connect()
 	if err := vandal.PublishState(groupKey(cells[0]), "vandal", []byte(`{"version":1,"gro`)); err != nil {
@@ -362,7 +363,9 @@ func testTwoWorkerAdaptive(t *testing.T, connect func() sweep.Backend) {
 			}
 			defer st.Close()
 			sh := sweep.Shard{Owner: fmt.Sprintf("w%d", w), TTL: 5 * time.Second, Poll: 10 * time.Millisecond}
-			outs[w], seeds[w], _ = sweep.RunAdaptiveSharded(cells, sweep.Options{Store: st, Cache: workload.NewCache()}, ad, sh)
+			var stats sweep.Stats
+			outs[w], stats = sweep.Run(cells, sweep.Options{Store: st, Cache: workload.NewCache(), Adaptive: ad, Shard: sh})
+			seeds[w] = stats.Groups
 		}(w)
 	}
 	wg.Wait()

@@ -1,0 +1,723 @@
+package sweep
+
+import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"github.com/fatgather/fatgather/internal/engine"
+	"github.com/fatgather/fatgather/internal/workload"
+)
+
+// adaptiveShardCells: six cell groups with two initial replicas each — enough
+// groups that a two-worker fleet genuinely splits the work.
+func adaptiveShardCells() []engine.Cell {
+	return engine.Batch{
+		Workloads: []workload.Kind{workload.KindClustered, workload.KindRing},
+		Ns:        []int{3, 4, 5},
+		Seeds:     2,
+		MaxEvents: 300,
+	}.Cells()
+}
+
+// tightAdaptive is an adaptive config that forces every group to grow beyond
+// its initial replicas (an unreachable target with a small cap), so the
+// cross-worker trajectory really exercises the extra-replica protocol.
+func tightAdaptive() Adaptive {
+	return Adaptive{TargetCI: 1e-12, MaxSeeds: 4}
+}
+
+// sweepMode is one input the sharded scenarios below run under: a cell grid
+// and its Adaptive setting. The scenarios hold for every mode, so each takes
+// the mode as an input instead of being written once per runner.
+type sweepMode struct {
+	cells func() []engine.Cell
+	ad    Adaptive
+}
+
+var (
+	fixedMode    = sweepMode{cells: func() []engine.Cell { return smallCells(1) }}
+	adaptiveMode = sweepMode{cells: adaptiveShardCells, ad: tightAdaptive()}
+)
+
+// reference is the solo, storeless run every sharded run must reproduce.
+func (m sweepMode) reference() ([]engine.CellResult, []GroupSeeds) {
+	res, stats := Run(m.cells(), Options{Adaptive: m.ad})
+	return res, stats.Groups
+}
+
+func sameAdaptiveRun(t *testing.T, label string, gotRes, wantRes []engine.CellResult, gotInfos, wantInfos []GroupSeeds) {
+	t.Helper()
+	if len(gotRes) != len(wantRes) {
+		t.Fatalf("%s: %d results, want %d", label, len(gotRes), len(wantRes))
+	}
+	for i := range wantRes {
+		if gotRes[i].Index != i {
+			t.Fatalf("%s: result %d has index %d", label, i, gotRes[i].Index)
+		}
+		if gotRes[i].Cell.Key() != wantRes[i].Cell.Key() {
+			t.Fatalf("%s: result %d is cell %s, want %s (trajectory order diverged)",
+				label, i, gotRes[i].Cell.Key(), wantRes[i].Cell.Key())
+		}
+		sameResult(t, fmt.Sprintf("%s result %d", label, i), gotRes[i], wantRes[i])
+	}
+	if !reflect.DeepEqual(gotInfos, wantInfos) {
+		t.Fatalf("%s: group seed schedules diverged:\n%+v\nvs\n%+v", label, gotInfos, wantInfos)
+	}
+}
+
+// testPublisher reads and writes adaptive-state records of a sweep directory
+// through the FS backend, as the claim loop does.
+func testPublisher(t *testing.T, dir, owner string) *adaptivePublisher {
+	t.Helper()
+	b, err := NewFSBackend(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { b.Close() })
+	return &adaptivePublisher{sink: b, owner: owner}
+}
+
+// TestRunShardedTwoConcurrentWorkers is the acceptance test for cooperative
+// sharding on a fixed grid; see twoConcurrentWorkers.
+func TestRunShardedTwoConcurrentWorkers(t *testing.T) {
+	twoConcurrentWorkers(t, sweepMode{cells: func() []engine.Cell { return smallCells(2) }})
+}
+
+// TestRunAdaptiveShardedTwoConcurrentWorkers is the same acceptance test for
+// the cross-worker adaptive protocol.
+func TestRunAdaptiveShardedTwoConcurrentWorkers(t *testing.T) {
+	twoConcurrentWorkers(t, adaptiveMode)
+}
+
+// twoConcurrentWorkers: two workers drain one sweep directory concurrently
+// through leases and the shared store, and each returns the complete result
+// set — same cells, same per-group seed counts, bit-identical results, in
+// the exact order the solo run produces — while no replica is executed
+// twice fleet-wide. Adaptive groups end with closed state records; a fixed
+// grid publishes none.
+func twoConcurrentWorkers(t *testing.T, m sweepMode) {
+	cells := m.cells()
+	wantRes, wantInfos := m.reference()
+
+	dir := t.TempDir()
+	const workers = 2
+	outs := make([][]engine.CellResult, workers)
+	stats := make([]Stats, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			st, err := OpenShared(dir)
+			if err != nil {
+				t.Errorf("worker %d: %v", w, err)
+				return
+			}
+			defer st.Close()
+			outs[w], stats[w] = Run(cells, Options{Store: st, Adaptive: m.ad, Shard: fastShard(fmt.Sprintf("w%d", w))})
+		}(w)
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+
+	executed := 0
+	for w := 0; w < workers; w++ {
+		sameAdaptiveRun(t, fmt.Sprintf("worker %d", w), outs[w], wantRes, stats[w].Groups, wantInfos)
+		executed += stats[w].Executed
+	}
+	// The leases make the split exact: the fleet executed each replica
+	// exactly once, and the store holds each record exactly once.
+	if executed != len(wantRes) {
+		t.Fatalf("fleet executed %d replicas, want exactly %d", executed, len(wantRes))
+	}
+	data, err := os.ReadFile(filepath.Join(dir, resultsFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(string(data), "\n"); got != len(wantRes) {
+		t.Fatalf("store holds %d records, want %d", got, len(wantRes))
+	}
+	if m.ad == (Adaptive{}) {
+		if _, err := os.Stat(filepath.Join(dir, adaptiveDir)); !os.IsNotExist(err) {
+			t.Fatalf("fixed-grid sweep published adaptive state (err=%v)", err)
+		}
+	}
+	pub := testPublisher(t, dir, "check")
+	for _, info := range wantInfos {
+		st, ok := pub.read(info.Key, engine.Version)
+		if !ok {
+			t.Fatalf("group %s: adaptive-state record missing or unreadable", info.Key)
+		}
+		if !st.Closed || st.Seeds != info.Seeds {
+			t.Fatalf("group %s: state record %+v, want closed with %d seeds", info.Key, st, info.Seeds)
+		}
+	}
+	// All leases released.
+	entries, err := os.ReadDir(filepath.Join(dir, leasesDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 0 {
+		t.Fatalf("%d lease files left behind", len(entries))
+	}
+}
+
+// TestRunAdaptiveShardedKillMidAdaptive simulates a worker killed in the
+// middle of an adaptive sweep: the store holds a prefix of the trajectory, an
+// expired lease guards an unfinished group, and the dead worker's open
+// adaptive-state record is still published. A surviving worker must reclaim
+// the lease, re-evaluate the CI against the merged history, finish the
+// remaining seed blocks and produce results identical to an uninterrupted
+// single-process adaptive run.
+func TestRunAdaptiveShardedKillMidAdaptive(t *testing.T) {
+	cells := adaptiveShardCells()
+	ad := tightAdaptive()
+	wantRes, wantInfos, _ := runAdaptive(cells, Options{}, ad)
+
+	dir := t.TempDir()
+	st, err := OpenShared(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The dead worker checkpointed roughly the first half of the trajectory
+	// (a prefix in canonical order: whole rounds land before later rounds).
+	k := len(wantRes) / 2
+	for i := 0; i < k; i++ {
+		if err := st.Append(wantRes[i].Cell.Key(), wantRes[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.Close()
+	// ...died holding the lease on the last cell's group, with an open
+	// (non-closed) state record published for it.
+	victim := cells[len(cells)-1]
+	writeStaleLease(t, dir, victim, "dead-worker")
+	if err := testPublisher(t, dir, "dead-worker").publish(adaptiveState{
+		Version: AdaptiveStateVersion, Engine: engine.Version,
+		Group: groupKeyOf(victim), Seeds: 2, HalfWidth: 12345, Closed: false,
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := OpenShared(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	res, infos, stats := runAdaptive(cells, Options{Store: re, Shard: fastShard("survivor")}, ad)
+	if stats.LeasesReclaimed != 1 {
+		t.Fatalf("LeasesReclaimed = %d, want 1", stats.LeasesReclaimed)
+	}
+	if stats.Executed != len(wantRes)-k {
+		t.Fatalf("Executed = %d, want %d (the dead worker's unfinished replicas)", stats.Executed, len(wantRes)-k)
+	}
+	if stats.Restored != k {
+		t.Fatalf("Restored = %d, want %d", stats.Restored, k)
+	}
+	sameAdaptiveRun(t, "survivor", res, wantRes, infos, wantInfos)
+	// The survivor's closed state record replaced the dead worker's open one.
+	got, ok := testPublisher(t, dir, "check").read(groupKeyOf(victim), engine.Version)
+	if !ok || !got.Closed {
+		t.Fatalf("victim group state record not closed after recovery: %+v (ok=%v)", got, ok)
+	}
+}
+
+// TestRunAdaptiveShardedResumesStoreWithoutStateRecords is the regression
+// test for old stores: a sweep directory written by a solo adaptive run (no
+// adaptive/ directory, no leases) must resume cleanly under the claim loop —
+// the full trajectory is recomputed from the result records alone, nothing
+// re-runs, and the output is identical.
+func TestRunAdaptiveShardedResumesStoreWithoutStateRecords(t *testing.T) {
+	cells := adaptiveShardCells()
+	ad := tightAdaptive()
+
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRes, wantInfos, _ := runAdaptive(cells, Options{Store: st}, ad)
+	st.Close()
+	if _, err := os.Stat(filepath.Join(dir, adaptiveDir)); !os.IsNotExist(err) {
+		t.Fatalf("solo adaptive run published state records (err=%v); the old-store regression test needs a store without them", err)
+	}
+
+	re, err := OpenShared(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	res, infos, stats := runAdaptive(cells, Options{Store: re, Shard: fastShard("late-joiner")}, ad)
+	if stats.Executed != 0 {
+		t.Fatalf("resuming an old adaptive store executed %d replicas, want 0", stats.Executed)
+	}
+	if stats.Restored != len(wantRes) {
+		t.Fatalf("Restored = %d, want %d", stats.Restored, len(wantRes))
+	}
+	sameAdaptiveRun(t, "late joiner", res, wantRes, infos, wantInfos)
+}
+
+// emptyShardIndex finds a static shard index that owns none of the cell
+// groups (with more shards than groups one always exists), so tests can pin
+// the behavior of a worker whose own partition is empty.
+func emptyShardIndex(t *testing.T, cells []engine.Cell, shards int) int {
+	t.Helper()
+	owned := make(map[int]bool)
+	for _, c := range cells {
+		owned[int(shardHash(groupKeyOf(c))%uint64(shards))] = true
+	}
+	for idx := 0; idx < shards; idx++ {
+		if !owned[idx] {
+			return idx
+		}
+	}
+	t.Fatalf("no empty shard index among %d shards", shards)
+	return -1
+}
+
+// TestRunShardedStealsTailGroups pins lease-aware work stealing on the fixed
+// grid; see stealsTailGroups.
+func TestRunShardedStealsTailGroups(t *testing.T) { stealsTailGroups(t, fixedMode) }
+
+// TestRunAdaptiveShardedStealsTailGroups pins the same stealing contract on
+// the adaptive grid.
+func TestRunAdaptiveShardedStealsTailGroups(t *testing.T) { stealsTailGroups(t, adaptiveMode) }
+
+// stealsTailGroups: a worker whose static share is empty — the extreme
+// "drained partition" — must, with Steal set, claim and complete every tail
+// group's full trajectory instead of waiting forever, byte-identical to the
+// solo run.
+func stealsTailGroups(t *testing.T, m sweepMode) {
+	cells := m.cells()
+	wantRes, wantInfos := m.reference()
+
+	shards := 32 // more shards than groups: an empty share must exist
+	idx := emptyShardIndex(t, cells, shards)
+
+	dir := t.TempDir()
+	st, err := OpenShared(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	sh := fastShard("thief")
+	sh.Shards, sh.Index, sh.Steal = shards, idx, true
+	res, stats := Run(cells, Options{Store: st, Adaptive: m.ad, Shard: sh})
+	if stats.GroupsStolen == 0 {
+		t.Fatal("empty-share worker stole no groups")
+	}
+	if stats.GroupsStolen != stats.GroupsClaimed {
+		t.Fatalf("GroupsStolen = %d, GroupsClaimed = %d; every claimed group lay outside the share", stats.GroupsStolen, stats.GroupsClaimed)
+	}
+	if stats.Executed != len(wantRes) {
+		t.Fatalf("Executed = %d, want %d", stats.Executed, len(wantRes))
+	}
+	sameAdaptiveRun(t, "thief", res, wantRes, stats.Groups, wantInfos)
+}
+
+// TestRunShardedStaticPartition pins static sharding of a fixed grid without
+// a store; see staticPartition.
+func TestRunShardedStaticPartition(t *testing.T) { staticPartition(t, fixedMode) }
+
+// TestRunAdaptiveShardedStaticPartition pins static sharding of an adaptive
+// grid without a store.
+func TestRunAdaptiveShardedStaticPartition(t *testing.T) { staticPartition(t, adaptiveMode) }
+
+// staticPartition: with no owner and no shared anything, each of two shards
+// runs the full trajectory of exactly its own groups and reports foreign
+// input cells as not claimed; the shards cover every replica of the solo run
+// exactly once, with identical results, and their group schedules union to
+// the solo schedule.
+func staticPartition(t *testing.T, m sweepMode) {
+	cells := m.cells()
+	wantRes, wantInfos := m.reference()
+	wantByKey := make(map[string]engine.CellResult)
+	for _, r := range wantRes {
+		wantByKey[r.Cell.Key()] = r
+	}
+	infoByKey := make(map[string]GroupSeeds)
+	for _, info := range wantInfos {
+		infoByKey[info.Key] = info
+	}
+
+	covered := make(map[string]int)
+	seen := make(map[string]int)
+	groups := 0
+	for idx := 0; idx < 2; idx++ {
+		res, stats := Run(cells, Options{Adaptive: m.ad, Shard: Shard{Shards: 2, Index: idx}})
+		if stats.Restored != 0 {
+			t.Fatalf("shard %d restored %d cells without a store", idx, stats.Restored)
+		}
+		if m.ad != (Adaptive{}) && stats.GroupsClaimed != len(stats.Groups) {
+			t.Fatalf("shard %d claimed %d groups but reported %d schedules", idx, stats.GroupsClaimed, len(stats.Groups))
+		}
+		groups = stats.GroupsClaimed + stats.GroupsSkipped
+		for _, r := range DropNotClaimed(append([]engine.CellResult(nil), res...)) {
+			key := r.Cell.Key()
+			covered[key]++
+			sameResult(t, fmt.Sprintf("shard %d cell %s", idx, key), r, wantByKey[key])
+		}
+		for _, info := range stats.Groups {
+			seen[info.Key]++
+			if want := infoByKey[info.Key]; !reflect.DeepEqual(info, want) {
+				t.Fatalf("shard %d group %s schedule %+v, want %+v", idx, info.Key, info, want)
+			}
+		}
+	}
+	if len(covered) != len(wantRes) {
+		t.Fatalf("shards covered %d replicas, want %d", len(covered), len(wantRes))
+	}
+	for key, n := range covered {
+		if n != 1 {
+			t.Fatalf("replica %s covered by %d shards, want exactly 1", key, n)
+		}
+	}
+	if len(seen) != len(wantInfos) {
+		t.Fatalf("shards reported %d group schedules, want %d", len(seen), len(wantInfos))
+	}
+	if groups == 0 {
+		t.Fatal("static shards reported no groups")
+	}
+}
+
+// TestStaticShardMergesPartialForeignGroup pins the static-shard merge rule
+// on a shared store: a foreign group's input replicas merge cell by cell
+// (the stored one is restored, the missing one comes back not claimed), but
+// its extra replicas merge only from a closed trajectory — so a foreign
+// group the store holds completely merges whole, in round order, while a
+// partially stored one contributes just its stored input replica and no
+// schedule.
+func TestStaticShardMergesPartialForeignGroup(t *testing.T) {
+	cells := adaptiveShardCells()
+	ad := tightAdaptive()
+	wantRes, wantInfos, _ := runAdaptive(cells, Options{}, ad)
+
+	// Pick the shard index with at least two foreign groups: the one with
+	// the longest trajectory is stored completely, another partially.
+	seedsOf := make(map[string]int)
+	for _, info := range wantInfos {
+		seedsOf[info.Key] = info.Seeds
+	}
+	groups, _ := groupCells(cells)
+	var shard Shard
+	var foreign []string
+	for idx := 0; idx < 2 && len(foreign) < 2; idx++ {
+		shard, foreign = Shard{Shards: 2, Index: idx}, foreign[:0]
+		for _, g := range groups {
+			if !shard.mine(g.key) {
+				foreign = append(foreign, g.key)
+			}
+		}
+	}
+	if len(foreign) < 2 {
+		t.Fatal("no shard index with two foreign groups")
+	}
+	sort.SliceStable(foreign, func(a, b int) bool { return seedsOf[foreign[a]] > seedsOf[foreign[b]] })
+	whole, partial := foreign[0], foreign[1]
+	if seedsOf[whole] <= len(cells)/len(groups) {
+		t.Fatalf("no foreign group grows past its input replicas (%v)", seedsOf)
+	}
+
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	stored := make(map[string]bool)
+	havePartial := false
+	for _, r := range wantRes {
+		gk := groupKeyOf(r.Cell)
+		if gk == partial && !havePartial {
+			havePartial = true
+		} else if gk != whole {
+			continue
+		}
+		if err := st.Append(r.Cell.Key(), r); err != nil {
+			t.Fatal(err)
+		}
+		stored[r.Cell.Key()] = true
+	}
+
+	res, stats := Run(cells, Options{Store: st, Adaptive: ad, Shard: shard})
+	if stats.Restored != len(stored) {
+		t.Fatalf("Restored = %d, want %d (the stored foreign replicas)", stats.Restored, len(stored))
+	}
+	// Expected: the solo order, with every unstored foreign input replica as
+	// a placeholder and only the stored foreign extras.
+	var want []engine.CellResult
+	for i, r := range wantRes {
+		switch {
+		case shard.mine(groupKeyOf(r.Cell)) || stored[r.Cell.Key()]:
+			want = append(want, r)
+		case i < len(cells):
+			want = append(want, engine.CellResult{Cell: r.Cell, Err: ErrNotClaimed})
+		}
+	}
+	if len(res) != len(want) {
+		t.Fatalf("%d results, want %d", len(res), len(want))
+	}
+	for i := range want {
+		if res[i].Index != i || res[i].Cell.Key() != want[i].Cell.Key() {
+			t.Fatalf("result %d is cell %s (index %d), want %s", i, res[i].Cell.Key(), res[i].Index, want[i].Cell.Key())
+		}
+		if isNotClaimed(want[i].Err) {
+			if !isNotClaimed(res[i].Err) {
+				t.Fatalf("result %d: unstored foreign replica came back %v, want ErrNotClaimed", i, res[i].Err)
+			}
+			continue
+		}
+		sameResult(t, fmt.Sprintf("result %d", i), res[i], want[i])
+	}
+	var wantGroups []GroupSeeds
+	for _, info := range wantInfos {
+		if info.Key == whole || shard.mine(info.Key) {
+			wantGroups = append(wantGroups, info)
+		}
+	}
+	if !reflect.DeepEqual(stats.Groups, wantGroups) {
+		t.Fatalf("group schedules:\n%+v\nwant\n%+v", stats.Groups, wantGroups)
+	}
+}
+
+// TestAdaptiveStatePublisherRoundTrip pins the record format: publish, read
+// back (including the +Inf half-width of an all-failed group), reject torn
+// and version-mismatched records.
+func TestAdaptiveStatePublisherRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	pub := testPublisher(t, dir, "w1")
+	st := adaptiveState{
+		Version: AdaptiveStateVersion, Engine: engine.Version,
+		Group: "g1", Seeds: 7, HalfWidth: 123.25, Closed: true,
+	}
+	if err := pub.publish(st); err != nil {
+		t.Fatal(err)
+	}
+	got, ok := pub.read("g1", engine.Version)
+	if !ok {
+		t.Fatal("published record not readable")
+	}
+	if got.Seeds != 7 || !got.Closed || got.HalfWidth != 123.25 || got.Owner != "w1" {
+		t.Fatalf("round trip mangled the record: %+v", got)
+	}
+
+	// +Inf half-width survives the JSON round trip.
+	inf := st
+	inf.Group = "g2"
+	inf.HalfWidth = infHalfWidth()
+	if err := pub.publish(inf); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := pub.read("g2", engine.Version); !ok || got.HalfWidth != infHalfWidth() {
+		t.Fatalf("infinite half-width lost: %+v (ok=%v)", got, ok)
+	}
+
+	// An update replaces the record atomically.
+	st.Seeds = 9
+	if err := pub.publish(st); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := pub.read("g1", engine.Version); got.Seeds != 9 {
+		t.Fatalf("update not visible: %+v", got)
+	}
+
+	// Torn record: ignored, not fatal.
+	torn := fsStateDir{dir: filepath.Join(dir, adaptiveDir)}.pathFor("g3")
+	if err := os.WriteFile(torn, []byte(`{"version":1,"gro`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := pub.read("g3", engine.Version); ok {
+		t.Fatal("torn record read as valid")
+	}
+	// Engine-version mismatch: ignored.
+	if _, ok := pub.read("g1", "other-engine/9"); ok {
+		t.Fatal("engine-mismatched record read as valid")
+	}
+}
+
+func infHalfWidth() float64 {
+	var zero float64
+	return 1 / zero
+}
+
+// TestRunAdaptiveShardedSoloMatchesRunAdaptive pins the degenerate fleet: one
+// cooperative worker alone walks the identical trajectory (and leaves a
+// store a solo adaptive run can resume from, and vice versa).
+func TestRunAdaptiveShardedSoloMatchesRunAdaptive(t *testing.T) {
+	cells := adaptiveShardCells()
+	ad := Adaptive{TargetCI: 50, MaxSeeds: 6}
+	wantRes, wantInfos, _ := runAdaptive(cells, Options{}, ad)
+
+	dir := t.TempDir()
+	st, err := OpenShared(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, infos, stats := runAdaptive(cells, Options{Store: st, Shard: fastShard("solo")}, ad)
+	st.Close()
+	sameAdaptiveRun(t, "solo", res, wantRes, infos, wantInfos)
+	if stats.Executed != len(wantRes) {
+		t.Fatalf("solo worker executed %d, want %d", stats.Executed, len(wantRes))
+	}
+
+	// The solo round loop resumes from the cooperative store untouched.
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	res2, infos2, stats2 := runAdaptive(cells, Options{Store: re}, ad)
+	if stats2.Executed != 0 {
+		t.Fatalf("solo adaptive resume executed %d replicas over a sharded store, want 0", stats2.Executed)
+	}
+	sameAdaptiveRun(t, "plain resume", res2, wantRes, infos2, wantInfos)
+}
+
+// TestRunShardedOnResultStreamsInOrder pins the collector contract of the
+// claim loop on a fixed grid; see onResultStreamsInOrder.
+func TestRunShardedOnResultStreamsInOrder(t *testing.T) { onResultStreamsInOrder(t, fixedMode) }
+
+// TestRunAdaptiveShardedOnResultStreamsInOrder pins the same contract on the
+// adaptive grid.
+func TestRunAdaptiveShardedOnResultStreamsInOrder(t *testing.T) {
+	onResultStreamsInOrder(t, adaptiveMode)
+}
+
+// onResultStreamsInOrder: OnResult fires once per replica, in canonical index
+// order, after the drain.
+func onResultStreamsInOrder(t *testing.T, m sweepMode) {
+	dir := t.TempDir()
+	st, err := OpenShared(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	var seen []int
+	res, _ := Run(m.cells(), Options{Store: st, Adaptive: m.ad, Shard: fastShard("solo"), OnResult: func(r engine.CellResult) {
+		seen = append(seen, r.Index)
+	}})
+	if len(seen) != len(res) {
+		t.Fatalf("OnResult fired %d times, want %d", len(seen), len(res))
+	}
+	for i, idx := range seen {
+		if idx != i {
+			t.Fatalf("OnResult order broken at %d: got index %d", i, idx)
+		}
+	}
+}
+
+// TestRunAdaptiveShardedSurvivesAppendFailures pins the broken-disk
+// degradation: when every checkpoint append fails (here: a closed store, so
+// Lookup works but Append errors), the worker must still drive every group's
+// trajectory to closure from its in-memory results — append failures mean
+// re-runs on a later resume, never a stalled sweep — and report the failures
+// in AppendErrs.
+func TestRunAdaptiveShardedSurvivesAppendFailures(t *testing.T) {
+	cells := adaptiveShardCells()
+	ad := tightAdaptive()
+	wantRes, wantInfos, _ := runAdaptive(cells, Options{}, ad)
+
+	dir := t.TempDir()
+	st, err := OpenShared(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Close() // Lookup keeps working; every Append now fails
+
+	res, infos, stats := runAdaptive(cells, Options{Store: st, Shard: fastShard("w")}, ad)
+	if stats.AppendErrs != len(wantRes) {
+		t.Fatalf("AppendErrs = %d, want %d (no replica could be checkpointed)", stats.AppendErrs, len(wantRes))
+	}
+	if stats.Executed != len(wantRes) {
+		t.Fatalf("Executed = %d, want %d", stats.Executed, len(wantRes))
+	}
+	sameAdaptiveRun(t, "broken disk", res, wantRes, infos, wantInfos)
+}
+
+// TestRunShardedWaitsForFreshForeignLease pins the skip-then-merge path on
+// a fixed grid; see waitsForFreshForeignLease.
+func TestRunShardedWaitsForFreshForeignLease(t *testing.T) {
+	waitsForFreshForeignLease(t, fixedMode)
+}
+
+// TestRunAdaptiveShardedWaitsForFreshForeignLease pins lease respect on the
+// adaptive grid.
+func TestRunAdaptiveShardedWaitsForFreshForeignLease(t *testing.T) {
+	waitsForFreshForeignLease(t, adaptiveMode)
+}
+
+// waitsForFreshForeignLease: a group freshly leased by a live peer is not
+// re-run; the worker polls, merges the peer's records once they land, and
+// still returns the full trajectory.
+func waitsForFreshForeignLease(t *testing.T, m sweepMode) {
+	cells := m.cells()
+	wantRes, wantInfos := m.reference()
+
+	dir := t.TempDir()
+	peerGroup := groupKeyOf(cells[0])
+	lm := newLeaseManager(dir, Shard{Owner: "peer", TTL: time.Minute})
+	if err := os.MkdirAll(lm.dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	l, _, err := lm.claim(peerGroup)
+	if err != nil || l == nil {
+		t.Fatalf("peer claim failed: %v", err)
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		time.Sleep(100 * time.Millisecond)
+		st, err := OpenShared(dir)
+		if err != nil {
+			t.Errorf("peer: %v", err)
+			return
+		}
+		defer st.Close()
+		for _, r := range wantRes {
+			if groupKeyOf(r.Cell) != peerGroup {
+				continue
+			}
+			if err := st.Append(r.Cell.Key(), r); err != nil {
+				t.Errorf("peer append: %v", err)
+			}
+		}
+		l.release()
+	}()
+
+	st, err := OpenShared(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	res, stats := Run(cells, Options{Store: st, Adaptive: m.ad, Shard: fastShard("waiter")})
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	peerReplicas := 0
+	for _, r := range wantRes {
+		if groupKeyOf(r.Cell) == peerGroup {
+			peerReplicas++
+		}
+	}
+	if stats.Restored != peerReplicas {
+		t.Fatalf("Restored = %d, want %d (the peer's group)", stats.Restored, peerReplicas)
+	}
+	if stats.Executed != len(wantRes)-peerReplicas {
+		t.Fatalf("Executed = %d, want %d (the peer ran its group)", stats.Executed, len(wantRes)-peerReplicas)
+	}
+	if stats.GroupsSkipped < 1 {
+		t.Fatalf("GroupsSkipped = %d, want >= 1", stats.GroupsSkipped)
+	}
+	sameAdaptiveRun(t, "waiter", res, wantRes, stats.Groups, wantInfos)
+}

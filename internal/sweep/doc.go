@@ -1,38 +1,41 @@
 // Package sweep is the persistent, resumable and shardable layer over the
-// batch engine. It provides four building blocks:
+// batch engine. It has one entry point, Run, over three building blocks:
 //
 //   - Store: an append-only JSONL checkpoint of completed cells. Every
 //     engine.CellResult streams to disk as its worker finishes, and on
 //     restart the completed-cell set is loaded so only the missing cells
 //     re-run — with tables byte-identical to an uninterrupted run. See
 //     FORMAT.md in this directory for the on-disk record and lease formats.
-//   - Run: engine.Run behind the store — restored and fresh results are
-//     streamed interleaved in deterministic cell order.
-//   - RunAdaptive: adaptive seed scheduling on top of Run — each cell group
-//     keeps receiving seed replicas until the 95% confidence interval
-//     half-width of its metric is tight enough, or a cap is reached.
-//   - RunSharded: multi-process (or multi-host, over a shared filesystem)
-//     sweeps. Each worker claims cell groups through lease files in the
-//     sweep directory (O_EXCL create with owner id and expiry timestamp),
-//     heartbeats its lease while running, skips groups completed in the
-//     store or freshly leased by peers, and reclaims expired leases so a
-//     killed worker's cells are re-run. Cooperating workers drain the sweep
-//     and every one of them returns the complete result set, byte-identical
-//     to a single-process run. With Shard.Steal, a worker that drains its
-//     static share claims unclaimed or expired tail groups outside it
-//     instead of idling.
-//   - RunAdaptiveSharded: RunAdaptive across a cooperating fleet. The
-//     adaptive trajectory of a cell group is a deterministic function of its
-//     stored per-replica results, so any worker can claim a group, run its
-//     next seed block, and re-evaluate the stopping rule against the merged
-//     cross-worker history; per-group adaptive-state records (seeds
-//     consumed, CI half-width, open/closed) are published next to the leases
-//     with the same atomic discipline. Every worker converges on identical
-//     per-group seed counts and the exact result order RunAdaptive produces.
+//   - Adaptive seed scheduling (Options.Adaptive): each cell group (cells
+//     that differ only in their seeds) keeps receiving derived seed replicas
+//     until the 95% confidence interval half-width of its event count is
+//     tight enough, or a cap is reached. The zero value is a fixed grid.
+//   - Sharding (Options.Shard): multi-process (or multi-host, over a shared
+//     filesystem or a gatherd coordinator) sweeps. Static shards partition
+//     the cell groups by a stable hash. Cooperative workers claim cell
+//     groups through leases in the store's backend (O_EXCL lease files with
+//     owner id and expiry timestamp on a filesystem), heartbeat them while
+//     running, skip groups completed in the store or freshly leased by
+//     peers, and reclaim expired leases so a killed worker's cells re-run.
+//     With Shard.Steal, a worker that drains its static share claims
+//     unclaimed or expired tail groups outside it instead of idling.
+//
+// Run picks one of two loops from its input, never from a flag. The round
+// loop serves solo and static-shard runs: one round of the input cells, then
+// one round of extra replicas per still-open group at a time; a fixed grid
+// is exactly one round. The claim loop serves cooperative workers (a
+// Shard.Owner and a Store): a group's seed trajectory is a deterministic
+// function of its stored per-replica results, so any worker can claim a
+// group, run its next block of replicas, and re-evaluate the stopping rule
+// against the merged cross-worker history. Adaptive groups publish
+// per-group state records (seeds consumed, CI half-width, open/closed) next
+// to the leases with the same atomic discipline. Cooperating workers drain
+// the sweep, and every one of them returns the complete result set in the
+// round loop's order, byte-identical to a single-process run.
 //
 // Correctness never depends on lease arbitration: records are keyed by the
 // cell's full identity and are bit-identical no matter which worker produced
 // them, so a lost lease race can at worst duplicate work. The workload cache
-// hook (Options.Cache) memoizes placement generation per (kind, n, seed)
-// across all of these run modes.
+// hook (Options.Cache) memoizes placement generation per (kind, n, seed) in
+// either loop.
 package sweep

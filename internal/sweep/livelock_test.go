@@ -121,7 +121,7 @@ func TestV2StoreDiscardedCleanly(t *testing.T) {
 // the seed cap — livelocked groups behave like stalled ones.
 func TestAdaptiveLivelockedGroupConvergesEarly(t *testing.T) {
 	cells := []engine.Cell{livelockCell(1), livelockCell(2)}
-	_, infos, _ := RunAdaptive(cells, Options{}, Adaptive{TargetCI: 500, MaxSeeds: 8})
+	_, infos, _ := runAdaptive(cells, Options{}, Adaptive{TargetCI: 500, MaxSeeds: 8})
 	if len(infos) != 1 {
 		t.Fatalf("expected 1 group, got %d", len(infos))
 	}

@@ -85,7 +85,7 @@ func TestWorkerDiesMidClaimAgainstGatherd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	res, stats := RunShardedOn(t, cells, st)
+	res, stats := runSurvivor(cells, st)
 	if stats.LeasesReclaimed < 1 {
 		t.Fatalf("LeasesReclaimed = %d, want >= 1 (the doomed worker's lease)", stats.LeasesReclaimed)
 	}
@@ -100,15 +100,15 @@ func TestWorkerDiesMidClaimAgainstGatherd(t *testing.T) {
 	}
 }
 
-// RunShardedOn runs one worker over a store with the test-tuned shard (short
-// poll so lease expiry is noticed quickly, honest TTL for its own leases).
-func RunShardedOn(t *testing.T, cells []engine.Cell, st *sweep.Store) ([]engine.CellResult, sweep.ShardStats) {
-	t.Helper()
-	return sweep.RunSharded(cells, sweep.Options{Store: st}, sweep.Shard{
+// runSurvivor runs one cooperative worker over a store with the test-tuned
+// shard (short poll so lease expiry is noticed quickly, honest TTL for its
+// own leases).
+func runSurvivor(cells []engine.Cell, st *sweep.Store) ([]engine.CellResult, sweep.Stats) {
+	return sweep.Run(cells, sweep.Options{Store: st, Shard: sweep.Shard{
 		Owner: "survivor",
 		TTL:   5 * time.Second,
 		Poll:  10 * time.Millisecond,
-	})
+	}})
 }
 
 // TestGatherdRestartMidSweep kills the coordinator itself mid-sweep and
@@ -164,11 +164,11 @@ func TestGatherdRestartMidSweep(t *testing.T) {
 
 	type outcome struct {
 		res   []engine.CellResult
-		stats sweep.ShardStats
+		stats sweep.Stats
 	}
 	donec := make(chan outcome, 1)
 	go func() {
-		res, stats := RunShardedOn(t, cells, st)
+		res, stats := runSurvivor(cells, st)
 		donec <- outcome{res, stats}
 	}()
 

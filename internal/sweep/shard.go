@@ -50,13 +50,14 @@ const leasesDir = "leases"
 //   - Cooperative (lease-based): Owner names this worker uniquely, and cell
 //     groups are claimed at run time through lease files in the shared sweep
 //     directory — whichever worker gets to a group first runs it, dead
-//     workers' leases expire and are reclaimed. Requires a Store.
+//     workers' leases expire and are reclaimed. Requires a Store (without
+//     one, Run ignores Owner).
 //   - Static: Shards/Index partition the cell groups up front by a stable
 //     hash; this worker only ever runs groups with hash%Shards == Index.
 //     Works without a shared store (each worker renders its own share).
 //
 // When both are set, the worker claims leases only inside its static share
-// and waits for peers to fill in the rest.
+// and waits for peers to fill in the rest. The zero value is a solo run.
 type Shard struct {
 	// Owner is this worker's unique id (hostname+pid works well). Non-empty
 	// Owner enables cooperative lease-based claiming and makes the run drain
@@ -104,6 +105,39 @@ func (sh Shard) withDefaults() Shard {
 	return sh
 }
 
+// Validate checks a worker's shard settings up front, so every front end
+// rejects the same combinations. RunBatch and experiments.Config expose
+// these settings under one set of names (ShardOwner, LeaseTTL, Shards,
+// ShardIndex, Steal), and the messages use them.
+func (sh Shard) Validate() error {
+	if sh.Shards < 0 {
+		return fmt.Errorf("sweep: Shards must be non-negative, got %d", sh.Shards)
+	}
+	if sh.Shards > 1 && (sh.Index < 0 || sh.Index >= sh.Shards) {
+		return fmt.Errorf("sweep: ShardIndex must be in [0, %d), got %d", sh.Shards, sh.Index)
+	}
+	if sh.Index != 0 && sh.Shards <= 1 {
+		return fmt.Errorf("sweep: ShardIndex %d requires Shards > 1, got %d", sh.Index, sh.Shards)
+	}
+	if sh.TTL < 0 {
+		return fmt.Errorf("sweep: LeaseTTL must be non-negative, got %v", sh.TTL)
+	}
+	if sh.TTL > 0 {
+		if sh.Owner == "" {
+			return fmt.Errorf("sweep: LeaseTTL requires ShardOwner (it only configures cooperative sharding)")
+		}
+		// Past MaxLeaseHorizon every claim would fail, and the fleet would
+		// run every group leaseless, duplicating all of the work.
+		if err := CheckLeaseTTL(sh.TTL); err != nil {
+			return err
+		}
+	}
+	if sh.Steal && sh.Owner == "" {
+		return fmt.Errorf("sweep: Steal requires ShardOwner (stealing is arbitrated through leases)")
+	}
+	return nil
+}
+
 // mine reports whether a cell group falls in this worker's static share.
 func (sh Shard) mine(groupKey string) bool {
 	if sh.Shards <= 1 {
@@ -121,32 +155,6 @@ func shardHash(groupKey string) uint64 {
 	return h.Sum64()
 }
 
-// ShardStats extends the resumable-run stats with what the shard coordinator
-// did: how many cell groups this worker claimed and ran, how many it skipped
-// because a peer completed or held them, and how many stale leases it took
-// over from dead workers.
-type ShardStats struct {
-	Stats
-	// GroupsClaimed counts the cell groups this worker claimed and ran.
-	GroupsClaimed int
-	// GroupsSkipped counts the groups this worker did not run: completed or
-	// freshly leased by peers, or outside its static share.
-	GroupsSkipped int
-	// LeasesReclaimed counts expired (or corrupt) leases this worker took
-	// over — each one is a dead peer's group being re-run.
-	LeasesReclaimed int
-	// GroupsStolen counts the claimed groups that lay outside this worker's
-	// static share (Shard.Steal): tail work taken over from the fleet once
-	// the worker's own share was drained. Always <= GroupsClaimed.
-	GroupsStolen int
-	// LeaseErrs counts groups whose lease could not be claimed or created at
-	// all (lease directory unwritable, I/O errors). Such groups run without
-	// a lease — liveness and correctness never depend on lease arbitration,
-	// only work-splitting does — so a positive count means possible
-	// duplicated work, and callers should surface it as a warning.
-	LeaseErrs int
-}
-
 // DropNotClaimed filters out the results a static shard did not cover
 // (Err == ErrNotClaimed), in place. Cooperative (lease) runs never produce
 // such results; static shards without a shared store use this to aggregate
@@ -154,12 +162,15 @@ type ShardStats struct {
 func DropNotClaimed(results []engine.CellResult) []engine.CellResult {
 	kept := results[:0]
 	for _, r := range results {
-		if !errors.Is(r.Err, ErrNotClaimed) {
+		if !isNotClaimed(r.Err) {
 			kept = append(kept, r)
 		}
 	}
 	return kept
 }
+
+// isNotClaimed reports the static-shard placeholder error.
+func isNotClaimed(err error) bool { return errors.Is(err, ErrNotClaimed) }
 
 // leaseRecord is the JSON body of a lease file.
 type leaseRecord struct {
@@ -397,8 +408,8 @@ func readLease(path string) (leaseRecord, error) {
 
 // claimer arbitrates cell-group claims for one worker through the store's
 // coordination backend — lease files for FSBackend, gatherd's lease table for
-// the network backend. It is the transport-independent face the sharded
-// runners use, and the one place the worker-side lease telemetry counts.
+// the network backend. It is the transport-independent face the claim loop
+// uses, and the one place the worker-side lease telemetry counts.
 type claimer struct {
 	b     Backend
 	owner string
@@ -454,258 +465,4 @@ func (l *claimed) release() {
 // heartbeat renews the lease every interval until stopped or lost.
 func (l *claimed) heartbeat(every time.Duration) (stop func()) {
 	return heartbeatLoop(every, l.renew)
-}
-
-// RunSharded executes the cells as one worker of a multi-process sweep: cell
-// groups (cells that differ only in their seeds) are claimed through lease
-// files in the shared sweep directory, groups completed or freshly leased by
-// peers are skipped, and expired leases are reclaimed so a killed worker's
-// groups re-run. In cooperative mode (Shard.Owner set, which requires
-// opts.Store) the call drains the whole sweep: it keeps claiming, re-reading
-// the shared store and waiting on peers until every cell is complete, so the
-// returned results — and the OnResult stream, emitted at the end in index
-// order — are byte-identical to a single-process run no matter how many
-// workers cooperate. In static mode without a store, cells outside this
-// worker's share come back with Err == ErrNotClaimed.
-//
-// Safety does not depend on the leases: every record in the store is keyed by
-// the cell's identity and bit-identical across workers, so the worst a lost
-// lease race can cause is duplicated work, never divergent results.
-func RunSharded(cells []engine.Cell, opts Options, sh Shard) ([]engine.CellResult, ShardStats) {
-	sh = sh.withDefaults()
-	n := len(cells)
-	results := make([]engine.CellResult, n)
-	have := make([]bool, n)
-	var stats ShardStats
-
-	// Group the cells by their seedless identity, in first-seen (and hence
-	// deterministic) order.
-	keys := make([]string, n)
-	groupIdx := make(map[string][]int)
-	var order []string
-	for i, c := range cells {
-		keys[i] = c.Key()
-		gk := groupKeyOf(c)
-		if _, ok := groupIdx[gk]; !ok {
-			order = append(order, gk)
-		}
-		groupIdx[gk] = append(groupIdx[gk], i)
-	}
-
-	obs.SweepGroups(len(order))
-
-	var lm *claimer
-	if sh.Owner != "" && opts.Store != nil {
-		lm = newClaimer(opts.Store.Backend(), sh)
-	}
-
-	// Inner runs go through the resumable layer but must not stream: the
-	// sharded coordinator emits the merged results at the end, in index
-	// order, exactly as an unsharded run would.
-	eopts := opts
-	eopts.OnResult = nil
-
-	// fillFromStore copies every store-completed cell of a group into the
-	// results and reports whether the whole group is now present.
-	fillFromStore := func(g []int) bool {
-		all := true
-		for _, i := range g {
-			if have[i] {
-				continue
-			}
-			if opts.Store == nil {
-				all = false
-				continue
-			}
-			if st, ok := opts.Store.Lookup(keys[i]); ok {
-				results[i] = engine.CellResult{
-					Index:   i,
-					Cell:    cells[i],
-					Result:  st.Result,
-					Err:     st.Err,
-					Elapsed: st.Elapsed,
-				}
-				have[i] = true
-				stats.Restored++
-				obsCellsRestored.Inc()
-				obs.SweepCells(0, 1)
-			} else {
-				all = false
-			}
-		}
-		return all
-	}
-
-	// runGroup executes a group's still-missing cells through the resumable
-	// layer (which checkpoints them as they finish).
-	runGroup := func(g []int) {
-		var missing []int
-		for _, i := range g {
-			if !have[i] {
-				missing = append(missing, i)
-			}
-		}
-		sub := make([]engine.Cell, len(missing))
-		for k, i := range missing {
-			sub[k] = cells[i]
-		}
-		res, st := Run(sub, eopts)
-		stats.Executed += st.Executed
-		stats.Restored += st.Restored
-		stats.AppendErrs += st.AppendErrs
-		for k, r := range res {
-			i := missing[k]
-			r.Index = i
-			results[i] = r
-			have[i] = true
-		}
-	}
-
-	allDone := func() bool {
-		for _, h := range have {
-			if !h {
-				return false
-			}
-		}
-		return true
-	}
-
-	ran := make(map[string]bool)
-	// visit tries to advance one incomplete cell group (the caller has
-	// already ruled out groups the store completes) and reports whether this
-	// worker acted on it — claimed it, ran it, or hit the leaseless
-	// fallback. A false return means a peer holds a fresh lease.
-	visit := func(gk string) bool {
-		g := groupIdx[gk]
-		// stolen marks tail work taken outside this worker's static share;
-		// recorded live for /progress and the steal counter.
-		stolen := sh.Shards > 1 && !sh.mine(gk)
-		markRun := func() {
-			ran[gk] = true
-			if stolen {
-				obsGroupSteals.Inc()
-			}
-			obs.SweepGroupClaimed(stolen)
-			obs.SweepGroupDone()
-		}
-		if lm == nil {
-			runGroup(g)
-			markRun()
-			return true
-		}
-		l, reclaimed, err := lm.claim(gk)
-		if err != nil {
-			// The lease layer itself is broken (unwritable lease
-			// directory, I/O error). Leases only split work — never
-			// correctness — so run the group leaseless rather than
-			// spinning forever on a claim that will never succeed;
-			// the worst case is duplicated, bit-identical records.
-			stats.LeaseErrs++
-			runGroup(g)
-			markRun()
-			return true
-		}
-		if l == nil {
-			return false // freshly leased by a peer
-		}
-		if reclaimed {
-			stats.LeasesReclaimed++
-			obs.SweepLeaseReclaimed()
-		}
-		// The peer that held this lease may have finished the group
-		// between our store scan and the claim: re-read the store so
-		// only genuinely missing cells run.
-		if opts.Store != nil {
-			_, _ = opts.Store.Reload()
-		}
-		if !fillFromStore(g) {
-			stopHB := l.heartbeat(sh.Heartbeat)
-			runGroup(g)
-			stopHB()
-			markRun()
-		}
-		// A group that turned out complete after the claim (the peer
-		// released between our store scan and the claim) counts as
-		// skipped, not claimed: no cell of it ran here.
-		l.release()
-		return true
-	}
-	for {
-		progress := false
-		actedOwn := false
-		for _, gk := range order {
-			if fillFromStore(groupIdx[gk]) {
-				continue
-			}
-			if !sh.mine(gk) {
-				continue
-			}
-			if visit(gk) {
-				progress = true
-				actedOwn = true
-			}
-		}
-		// Work stealing: once this worker's static share offers nothing to
-		// claim, take over unclaimed or expired tail groups outside the
-		// share instead of idling until their shard catches up. The lease
-		// layer keeps arbitrating — fresh foreign leases are respected — so
-		// a stolen group still runs exactly once fleet-wide.
-		if lm != nil && sh.Steal && sh.Shards > 1 && !actedOwn {
-			for _, gk := range order {
-				if sh.mine(gk) || fillFromStore(groupIdx[gk]) {
-					continue
-				}
-				if visit(gk) {
-					progress = true
-				}
-			}
-		}
-		if allDone() {
-			break
-		}
-		if lm == nil {
-			// Static mode without leases never waits: cells outside this
-			// worker's share (and peers' unfinished work) are reported as
-			// not claimed.
-			break
-		}
-		// Cooperative mode drains the sweep: peers hold the remaining
-		// groups, so wait for their records to land in the shared store (or
-		// for their leases to expire and become reclaimable).
-		if !progress {
-			time.Sleep(sh.Poll)
-		}
-		if opts.Store != nil {
-			_, _ = opts.Store.Reload()
-		}
-	}
-
-	for _, gk := range order {
-		if ran[gk] {
-			stats.GroupsClaimed++
-			if !sh.mine(gk) {
-				stats.GroupsStolen++
-			}
-		} else {
-			stats.GroupsSkipped++
-		}
-	}
-	for i := range cells {
-		if !have[i] {
-			results[i] = engine.CellResult{Index: i, Cell: cells[i], Err: ErrNotClaimed}
-		}
-	}
-	if opts.OnResult != nil {
-		// Not-claimed placeholders are a static-mode artifact of the returned
-		// slice, not real cell outcomes: the stream stays a (possibly
-		// partial) prefix-ordered view of what an uninterrupted run would
-		// emit, so collectors never see the sentinel as an errored run.
-		for _, r := range results {
-			if errors.Is(r.Err, ErrNotClaimed) {
-				continue
-			}
-			opts.OnResult(r)
-		}
-	}
-	return results, stats
 }

@@ -1,11 +1,8 @@
 package sweep
 
 import (
-	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -33,72 +30,6 @@ func writeStaleLease(t *testing.T, dir string, cell engine.Cell, owner string) s
 		t.Fatal("planting stale lease reclaimed an existing one")
 	}
 	return l.path
-}
-
-// TestRunShardedTwoConcurrentWorkers is the acceptance test for cooperative
-// sharding: two workers drain one sweep directory concurrently, and each
-// returns the complete result set, bit-identical to a plain engine run —
-// while every cell is executed exactly once across the pair.
-func TestRunShardedTwoConcurrentWorkers(t *testing.T) {
-	cells := smallCells(2)
-	ref := engine.Run(cells, engine.Options{})
-
-	dir := t.TempDir()
-	const workers = 2
-	outs := make([][]engine.CellResult, workers)
-	stats := make([]ShardStats, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			st, err := OpenShared(dir)
-			if err != nil {
-				t.Errorf("worker %d: %v", w, err)
-				return
-			}
-			defer st.Close()
-			outs[w], stats[w] = RunSharded(cells, Options{Store: st}, fastShard(fmt.Sprintf("w%d", w)))
-		}(w)
-	}
-	wg.Wait()
-	if t.Failed() {
-		t.FailNow()
-	}
-
-	executed := 0
-	for w := 0; w < workers; w++ {
-		if len(outs[w]) != len(cells) {
-			t.Fatalf("worker %d returned %d results, want %d", w, len(outs[w]), len(cells))
-		}
-		for i := range cells {
-			if outs[w][i].Index != i {
-				t.Fatalf("worker %d result %d has index %d", w, i, outs[w][i].Index)
-			}
-			sameResult(t, fmt.Sprintf("worker %d cell %d", w, i), outs[w][i], ref[i])
-		}
-		executed += stats[w].Executed
-	}
-	// The leases make the split exact: every cell ran exactly once in the
-	// whole fleet, and the store holds each record exactly once.
-	if executed != len(cells) {
-		t.Fatalf("fleet executed %d cells, want exactly %d", executed, len(cells))
-	}
-	data, err := os.ReadFile(filepath.Join(dir, resultsFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.Count(string(data), "\n"); got != len(cells) {
-		t.Fatalf("store holds %d records, want %d", got, len(cells))
-	}
-	// All leases were released.
-	entries, err := os.ReadDir(filepath.Join(dir, leasesDir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 0 {
-		t.Fatalf("%d lease files left behind", len(entries))
-	}
 }
 
 // TestRunShardedReclaimsStaleLease simulates a worker killed mid-sweep: the
@@ -130,7 +61,7 @@ func TestRunShardedReclaimsStaleLease(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	res, stats := RunSharded(cells, Options{Store: re}, fastShard("survivor"))
+	res, stats := Run(cells, Options{Store: re, Shard: fastShard("survivor")})
 	if stats.LeasesReclaimed != 1 {
 		t.Fatalf("LeasesReclaimed = %d, want 1", stats.LeasesReclaimed)
 	}
@@ -139,75 +70,6 @@ func TestRunShardedReclaimsStaleLease(t *testing.T) {
 	}
 	if stats.Restored != k {
 		t.Fatalf("Restored = %d, want %d", stats.Restored, k)
-	}
-	for i := range cells {
-		sameResult(t, fmt.Sprintf("cell %d", i), res[i], ref[i])
-	}
-}
-
-// TestRunShardedWaitsForFreshForeignLease pins the skip-then-merge path: a
-// group freshly leased by a live peer is not re-run; the worker waits, picks
-// the peer's records up from the shared store once they land, and still
-// returns the full result set.
-func TestRunShardedWaitsForFreshForeignLease(t *testing.T) {
-	cells := smallCells(1)
-	ref := engine.Run(cells, engine.Options{})
-
-	dir := t.TempDir()
-	peerGroup := groupKeyOf(cells[0])
-	var peerIdx []int
-	for i, c := range cells {
-		if groupKeyOf(c) == peerGroup {
-			peerIdx = append(peerIdx, i)
-		}
-	}
-	// The "peer": holds a fresh lease on cells[0]'s group, finishes it after
-	// a delay, then releases.
-	m := newLeaseManager(dir, Shard{Owner: "peer", TTL: time.Minute})
-	if err := os.MkdirAll(m.dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	l, _, err := m.claim(peerGroup)
-	if err != nil || l == nil {
-		t.Fatalf("peer claim failed: %v", err)
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		time.Sleep(100 * time.Millisecond)
-		st, err := OpenShared(dir)
-		if err != nil {
-			t.Errorf("peer: %v", err)
-			return
-		}
-		defer st.Close()
-		for _, i := range peerIdx {
-			if err := st.Append(cells[i].Key(), ref[i]); err != nil {
-				t.Errorf("peer append: %v", err)
-			}
-		}
-		l.release()
-	}()
-
-	st, err := OpenShared(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	res, stats := RunSharded(cells, Options{Store: st}, fastShard("waiter"))
-	wg.Wait()
-	if t.Failed() {
-		t.FailNow()
-	}
-	if stats.Restored != len(peerIdx) {
-		t.Fatalf("Restored = %d, want %d (the peer's group)", stats.Restored, len(peerIdx))
-	}
-	if stats.Executed != len(cells)-len(peerIdx) {
-		t.Fatalf("Executed = %d, want %d", stats.Executed, len(cells)-len(peerIdx))
-	}
-	if stats.GroupsSkipped < 1 {
-		t.Fatalf("GroupsSkipped = %d, want >= 1", stats.GroupsSkipped)
 	}
 	for i := range cells {
 		sameResult(t, fmt.Sprintf("cell %d", i), res[i], ref[i])
@@ -307,34 +169,6 @@ func TestLeaseCorruptFileIsReclaimed(t *testing.T) {
 	}
 }
 
-// TestRunShardedStaticPartition pins static mode without a store: the two
-// shards run disjoint, complementary subsets, skipped cells carry
-// ErrNotClaimed, and the union matches the reference run.
-func TestRunShardedStaticPartition(t *testing.T) {
-	cells := smallCells(1)
-	ref := engine.Run(cells, engine.Options{})
-
-	covered := make([]int, len(cells))
-	for idx := 0; idx < 2; idx++ {
-		res, stats := RunSharded(cells, Options{}, Shard{Shards: 2, Index: idx})
-		if stats.Restored != 0 {
-			t.Fatalf("shard %d restored %d cells without a store", idx, stats.Restored)
-		}
-		for i := range cells {
-			if errors.Is(res[i].Err, ErrNotClaimed) {
-				continue
-			}
-			covered[i]++
-			sameResult(t, fmt.Sprintf("shard %d cell %d", idx, i), res[i], ref[i])
-		}
-	}
-	for i, c := range covered {
-		if c != 1 {
-			t.Fatalf("cell %d covered by %d shards, want exactly 1", i, c)
-		}
-	}
-}
-
 // TestRunShardedStaticWithStoreMerges pins the static+store composition: a
 // second shard run over the same directory restores the first shard's cells
 // and completes the rest, ending with the full result set.
@@ -347,7 +181,7 @@ func TestRunShardedStaticWithStoreMerges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stats0 := RunSharded(cells, Options{Store: st0}, Shard{Shards: 2, Index: 0})
+	_, stats0 := Run(cells, Options{Store: st0, Shard: Shard{Shards: 2, Index: 0}})
 	st0.Close()
 	if stats0.Executed == 0 || stats0.Executed == len(cells) {
 		t.Fatalf("shard 0 executed %d of %d cells, want a strict subset", stats0.Executed, len(cells))
@@ -360,36 +194,12 @@ func TestRunShardedStaticWithStoreMerges(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st1.Close()
-	res, stats1 := RunSharded(cells, Options{Store: st1}, Shard{Owner: "b", Shards: 2, Index: 1, TTL: 5 * time.Second, Poll: 5 * time.Millisecond})
+	res, stats1 := Run(cells, Options{Store: st1, Shard: Shard{Owner: "b", Shards: 2, Index: 1, TTL: 5 * time.Second, Poll: 5 * time.Millisecond}})
 	if stats1.Executed != len(cells)-stats0.Executed {
 		t.Fatalf("shard 1 executed %d cells, want %d", stats1.Executed, len(cells)-stats0.Executed)
 	}
 	for i := range cells {
 		sameResult(t, fmt.Sprintf("cell %d", i), res[i], ref[i])
-	}
-}
-
-// TestRunShardedOnResultStreamsInOrder pins the collector contract in sharded
-// mode: OnResult fires once per cell, in index order, after the drain.
-func TestRunShardedOnResultStreamsInOrder(t *testing.T) {
-	cells := smallCells(1)
-	dir := t.TempDir()
-	st, err := OpenShared(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	var seen []int
-	RunSharded(cells, Options{Store: st, OnResult: func(r engine.CellResult) {
-		seen = append(seen, r.Index)
-	}}, fastShard("solo"))
-	if len(seen) != len(cells) {
-		t.Fatalf("OnResult fired %d times, want %d", len(seen), len(cells))
-	}
-	for i, idx := range seen {
-		if idx != i {
-			t.Fatalf("OnResult order broken at %d: got index %d", i, idx)
-		}
 	}
 }
 

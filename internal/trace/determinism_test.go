@@ -5,7 +5,7 @@ import (
 	"errors"
 	"testing"
 
-	"github.com/fatgather/fatgather/internal/sched"
+	"github.com/fatgather/fatgather/internal/adversary"
 	"github.com/fatgather/fatgather/internal/sim"
 	"github.com/fatgather/fatgather/internal/trace"
 	"github.com/fatgather/fatgather/internal/workload"
@@ -21,7 +21,7 @@ func recordTrace(t *testing.T, seed int64) []byte {
 		t.Fatal(err)
 	}
 	s, err := sim.New(w, sim.Options{
-		Adversary: sched.NewRandomAsync(seed + 9),
+		Strategy:  adversary.NewRandomAsync(seed + 9),
 		MaxEvents: 5000,
 	})
 	if err != nil {
