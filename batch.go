@@ -2,6 +2,7 @@ package fatgather
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/fatgather/fatgather/internal/engine"
@@ -209,14 +210,7 @@ func RunBatch(opts BatchOptions) (BatchResult, error) {
 	}
 	kinds := make([]workload.Kind, 0, len(opts.Workloads))
 	for _, w := range opts.Workloads {
-		known := false
-		for _, k := range workload.Kinds() {
-			if workload.Kind(w) == k {
-				known = true
-				break
-			}
-		}
-		if !known {
+		if !slices.Contains(workload.Kinds(), workload.Kind(w)) {
 			return BatchResult{}, fmt.Errorf("%w: unknown workload %q", ErrBadOptions, w)
 		}
 		kinds = append(kinds, workload.Kind(w))
@@ -230,13 +224,6 @@ func RunBatch(opts BatchOptions) (BatchResult, error) {
 	// cannot replay (seed 0 means "default to 1" there); keep seeds positive.
 	if opts.SeedStart < 0 {
 		return BatchResult{}, fmt.Errorf("%w: SeedStart must be positive (or 0 for the default), got %d", ErrBadOptions, opts.SeedStart)
-	}
-	sharded := opts.ShardOwner != "" || opts.Shards > 1
-	if opts.SweepDir != "" && opts.Coordinator != "" {
-		return BatchResult{}, fmt.Errorf("%w: SweepDir and Coordinator are mutually exclusive (pick one coordination medium)", ErrBadOptions)
-	}
-	if opts.ShardOwner != "" && opts.SweepDir == "" && opts.Coordinator == "" {
-		return BatchResult{}, fmt.Errorf("%w: ShardOwner requires SweepDir or Coordinator (leases live in the shared sweep directory or on the coordinator)", ErrBadOptions)
 	}
 	shard := sweep.Shard{
 		Owner:  opts.ShardOwner,
@@ -265,57 +252,22 @@ func RunBatch(opts BatchOptions) (BatchResult, error) {
 		return BatchResult{}, fmt.Errorf("%w: %v", ErrBadOptions, err)
 	}
 
+	st, warnings, err := netbackend.OpenStore(opts.SweepDir, opts.Coordinator, "batch", opts.Resume, shard)
+	if err != nil {
+		return BatchResult{}, fmt.Errorf("%w: %w", ErrBadOptions, err)
+	}
+	if st != nil {
+		defer st.Close()
+	}
 	sweepOpts := sweep.Options{
 		Engine: engine.Options{Workers: opts.Workers},
-		Cache:  workload.NewCache(),
+		Store:  st,
 		Shard:  shard,
 	}
 	if opts.AdaptiveCI > 0 {
 		sweepOpts.Adaptive = sweep.Adaptive{TargetCI: opts.AdaptiveCI, MaxSeeds: opts.AdaptiveMaxSeeds}
 	}
-	var warnings []string
-	if opts.Coordinator != "" {
-		cli, err := netbackend.NewClient(opts.Coordinator, "batch")
-		if err != nil {
-			return BatchResult{}, fmt.Errorf("%w: %v", ErrBadOptions, err)
-		}
-		st, err := sweep.OpenBackend(cli)
-		if err != nil {
-			_ = cli.Close()
-			return BatchResult{}, err
-		}
-		// Coordinator batches always resume: the record log is the fleet's
-		// shared state, and a lone worker must not reset it under its peers.
-		defer st.Close()
-		warnings = st.Warnings()
-		sweepOpts.Store = st
-	}
-	if opts.SweepDir != "" {
-		open := sweep.Open
-		if sharded {
-			// Peers may be appending concurrently: load without compacting,
-			// and never reset — sharded batches always resume.
-			open = sweep.OpenShared
-		}
-		st, err := open(opts.SweepDir)
-		if err != nil {
-			return BatchResult{}, fmt.Errorf("%w: %v", ErrBadOptions, err)
-		}
-		defer st.Close()
-		if !opts.Resume && !sharded {
-			if err := st.Reset(); err != nil {
-				return BatchResult{}, err
-			}
-		}
-		warnings = st.Warnings()
-		sweepOpts.Store = st
-	}
-
 	results, stats := sweep.Run(cells, sweepOpts)
-	// Cells another static shard owns (and no store could merge) are
-	// dropped: the remaining results are exactly this worker's share, still
-	// in deterministic grid order.
-	results = sweep.DropNotClaimed(results)
 	warnings = append(warnings, stats.Warnings()...)
 	col := engine.NewCollector(func(r engine.CellResult) string {
 		// The full adversary label (base strategy + fault decorations) keys
@@ -375,10 +327,15 @@ func RunBatch(opts BatchOptions) (BatchResult, error) {
 	}
 	// The adaptive scheduler groups by full cell identity minus seeds, the
 	// collector by the public grid point; within one batch (uniform Delta,
-	// MaxEvents, ...) both partitions are identical and appear in the same
-	// first-seen order, so the per-group seed info zips by index.
-	if len(stats.Groups) == len(out.Groups) {
-		for i, info := range stats.Groups {
+	// MaxEvents, ...) both partitions are identical, so the per-group seed
+	// info pairs up by group key. Not every collector group has one: a static
+	// shard also returns the stored input replicas of a peer's open group.
+	schedules := make(map[string]sweep.GroupSeeds, len(stats.Groups))
+	for _, info := range stats.Groups {
+		schedules[info.Key] = info
+	}
+	for i, g := range groups {
+		if info, ok := schedules[sweep.GroupKey(g.Sample)]; ok {
 			out.Groups[i].SeedsUsed = info.Seeds
 			out.Groups[i].CIHalfWidth = info.HalfWidth
 		}

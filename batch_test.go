@@ -455,3 +455,70 @@ func TestRunBatchShardedRejectsBadOptions(t *testing.T) {
 		t.Fatalf("negative LeaseTTL: got %v", err)
 	}
 }
+
+// TestRunBatchStaticAdaptiveShardKeepsCIHalfWidth: a static adaptive shard
+// over a store that already holds a peer's input replicas also returns the
+// stored replicas of the peer's still-open groups, so it reports more groups
+// than adaptive schedules. Every group the shard ran must still carry its
+// schedule — the seeds used and the CI half-width of a solo adaptive run.
+func TestRunBatchStaticAdaptiveShardKeepsCIHalfWidth(t *testing.T) {
+	base := BatchOptions{
+		Workloads:   []Workload{WorkloadClustered, WorkloadRing, WorkloadRandom, WorkloadGrid},
+		Ns:          []int{4, 5},
+		Adversaries: []AdversaryName{AdversaryFair, AdversaryRandomAsync},
+		Seeds:       2,
+		MaxEvents:   3000,
+		Workers:     2,
+	}
+	dir := t.TempDir()
+	prefill := base
+	prefill.SweepDir = dir
+	if _, err := RunBatch(prefill); err != nil {
+		t.Fatal(err)
+	}
+
+	adaptive := base
+	adaptive.AdaptiveCI, adaptive.AdaptiveMaxSeeds = 1e-9, 3
+	solo, err := RunBatch(adaptive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type point struct {
+		w Workload
+		n int
+		a AdversaryName
+	}
+	want := make(map[point]BatchGroup)
+	for _, g := range solo.Groups {
+		want[point{g.Workload, g.N, g.Adversary}] = g
+	}
+
+	shard := adaptive
+	shard.SweepDir, shard.Shards, shard.ShardIndex = dir, 2, 0
+	got, err := RunBatch(shard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ran, partial := 0, 0
+	for _, g := range got.Groups {
+		w := want[point{g.Workload, g.N, g.Adversary}]
+		if g.Runs+g.Errors < w.Runs+w.Errors {
+			// A peer's open group: only its stored input replicas, no schedule.
+			partial++
+			if g.CIHalfWidth != 0 || g.SeedsUsed != g.Runs+g.Errors {
+				t.Fatalf("partial group %+v carries a schedule", g)
+			}
+			continue
+		}
+		if g.SeedsUsed != w.SeedsUsed || g.CIHalfWidth != w.CIHalfWidth {
+			t.Fatalf("group %s n=%d %s: seeds %d CI %g, want seeds %d CI %g",
+				g.Workload, g.N, g.Adversary, g.SeedsUsed, g.CIHalfWidth, w.SeedsUsed, w.CIHalfWidth)
+		}
+		if g.CIHalfWidth != 0 {
+			ran++
+		}
+	}
+	if partial == 0 || ran == 0 {
+		t.Fatalf("scenario does not bite: %d partial groups, %d groups with a nonzero CI", partial, ran)
+	}
+}

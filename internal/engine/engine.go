@@ -678,18 +678,3 @@ func (c *Collector) Groups() []Group {
 	}
 	return out
 }
-
-// Aggregate runs the cells and returns both the raw results and the grouped
-// summaries: the one-call form of the engine + collector pipeline.
-func Aggregate(cells []Cell, opts Options, keyOf func(CellResult) string) ([]CellResult, []Group) {
-	col := NewCollector(keyOf)
-	prev := opts.OnResult
-	opts.OnResult = func(r CellResult) {
-		col.Add(r)
-		if prev != nil {
-			prev(r)
-		}
-	}
-	results := Run(cells, opts)
-	return results, col.Groups()
-}

@@ -240,9 +240,9 @@ func TestRunFailsFastOnInvalidCells(t *testing.T) {
 
 func TestAggregateGroups(t *testing.T) {
 	cells := testCells()
-	results, groups := Aggregate(cells, Options{}, func(r CellResult) string {
-		return string(r.Cell.Workload)
-	})
+	col := NewCollector(func(r CellResult) string { return string(r.Cell.Workload) })
+	results := Run(cells, Options{OnResult: col.Add})
+	groups := col.Groups()
 	if len(results) != len(cells) {
 		t.Fatalf("%d results for %d cells", len(results), len(cells))
 	}
@@ -273,7 +273,9 @@ func TestCollectorCountsErrors(t *testing.T) {
 		{Workload: workload.KindClustered, N: 3, WorkloadSeed: 1, MaxEvents: 500},
 		{Workload: "bogus", N: 3, MaxEvents: 500},
 	}
-	_, groups := Aggregate(cells, Options{}, func(CellResult) string { return "all" })
+	col := NewCollector(func(CellResult) string { return "all" })
+	Run(cells, Options{OnResult: col.Add})
+	groups := col.Groups()
 	if len(groups) != 1 || groups[0].Runs != 1 || groups[0].Errors != 1 {
 		t.Fatalf("unexpected groups %+v", groups)
 	}

@@ -141,9 +141,6 @@ type Config struct {
 	Warnf func(format string, args ...any)
 }
 
-// sharded reports whether any sharding mode is configured.
-func (c Config) sharded() bool { return c.ShardOwner != "" || c.Shards > 1 }
-
 // shard is the sweep-layer form of the sharding knobs.
 func (c Config) shard() sweep.Shard {
 	return sweep.Shard{
@@ -174,15 +171,8 @@ func (c Config) Validate() error {
 			return fmt.Errorf("experiments: Adversary: %w", err)
 		}
 	}
-	if c.SweepDir != "" && c.Coordinator != "" {
-		return fmt.Errorf("experiments: SweepDir and Coordinator are mutually exclusive (pick one coordination medium)")
-	}
-	if c.Coordinator != "" {
-		// The store name is appended per experiment; validate the URL with a
-		// placeholder so a typo fails here, not on the first claim.
-		if _, err := netbackend.NewClient(c.Coordinator, "validate"); err != nil {
-			return fmt.Errorf("experiments: Coordinator: %w", err)
-		}
+	if err := netbackend.CheckMedium(c.SweepDir, c.Coordinator, c.ShardOwner); err != nil {
+		return fmt.Errorf("experiments: %w", err)
 	}
 	if c.Resume && c.SweepDir == "" && c.Coordinator == "" {
 		return fmt.Errorf("experiments: Resume requires SweepDir or Coordinator")
@@ -192,9 +182,6 @@ func (c Config) Validate() error {
 	}
 	if c.AdaptiveMaxSeeds < 0 {
 		return fmt.Errorf("experiments: AdaptiveMaxSeeds must be non-negative, got %d", c.AdaptiveMaxSeeds)
-	}
-	if c.ShardOwner != "" && c.SweepDir == "" && c.Coordinator == "" {
-		return fmt.Errorf("experiments: ShardOwner requires SweepDir or Coordinator (leases live in the shared sweep directory or on the coordinator)")
 	}
 	if err := c.shard().Validate(); err != nil {
 		return fmt.Errorf("experiments: %w", err)
@@ -228,98 +215,53 @@ func (c Config) warnf(format string, args ...any) {
 	obs.Warnf("experiments", format, args...)
 }
 
-// openCoordinatorStore opens an experiment's named store on a gatherd
-// coordinator (the network counterpart of sweep.OpenShared on SweepDir/<id>).
-func openCoordinatorStore(coordinator, id string) (*sweep.Store, error) {
-	cli, err := netbackend.NewClient(coordinator, id)
-	if err != nil {
-		return nil, err
-	}
-	st, err := sweep.OpenBackend(cli)
-	if err != nil {
-		_ = cli.Close()
-		return nil, err
-	}
-	return st, nil
-}
-
 // runCells executes an experiment's cell grid through sweep.Run, the one
 // sweep entry point: workload generation is memoized per (kind, n, seed),
 // results stream to SweepDir/<id> (or the coordinator's <id> store) when
 // checkpointing is on, AdaptiveCI grows the grid adaptively, and ShardOwner
 // or Shards make the run one worker of a sharded sweep. sweep.Run picks its
 // loop from those settings, so a fleet converges on the same grid — and
-// tables — as a single process. Cells another static shard owns and no store
-// can merge are dropped from the returned slice. The results are otherwise
-// identical to engine.Run on the same cells, plus any adaptive replicas,
-// whose per-group seed counts come back in the GroupSeeds slice (nil for
-// fixed-seed runs).
+// tables — as a single process. A static shard returns only the cells it ran
+// or could restore. The results are otherwise identical to engine.Run on the
+// same cells, plus any adaptive replicas, whose per-group seed counts come
+// back in the GroupSeeds slice (nil for fixed-seed runs).
 func (c Config) runCells(id string, cells []engine.Cell) ([]engine.CellResult, []sweep.GroupSeeds) {
 	// Telemetry: mark the sweep active for /progress while the grid drains.
 	// Write-only (one-way contract); the progress view never feeds back into
 	// scheduling.
 	obs.SweepBegin(id, c.ShardOwner)
 	defer obs.SweepEnd()
+	opts := sweep.Options{Engine: c.engineOpts(), Shard: c.shard()}
 	if err := c.Validate(); err != nil {
 		// A misconfigured shard silently claims zero groups; running the
 		// sweep unsharded (and saying so) is strictly more useful. Only the
 		// sharding knobs are dropped — checkpointing (SweepDir/Resume) keeps
 		// working, so a long degraded run still resumes after a crash.
 		c.warnf("experiments: %s: %v (running unsharded)", id, err)
-		c.ShardOwner = ""
-		c.Shards, c.ShardIndex = 0, 0
-		c.LeaseTTL = 0
-		c.Steal = false
+		opts.Shard = sweep.Shard{}
 	}
-	opts := sweep.Options{Engine: c.engineOpts(), Cache: workload.NewCache()}
-	sharded := c.sharded()
-	if c.Coordinator != "" {
-		st, err := openCoordinatorStore(c.Coordinator, id)
-		if err != nil {
-			// Checkpointing is an accelerator, never a gate — same contract as
-			// an unusable SweepDir: warn and run the sweep in memory.
-			c.warnf("experiments: %s: %v (running without checkpoints)", id, err)
-		} else {
-			// Coordinator runs always resume; the record log is the fleet's
-			// shared state and is never reset by one worker.
-			defer st.Close()
-			for _, w := range st.Warnings() {
-				c.warnf("experiments: %s: %s", id, w)
-			}
-			opts.Store = st
+	dir := c.SweepDir
+	if dir != "" {
+		dir = filepath.Join(dir, id)
+	}
+	st, warnings, err := netbackend.OpenStore(dir, c.Coordinator, id, c.Resume, opts.Shard)
+	if err != nil {
+		// Checkpointing is an accelerator, never a gate: warn and run the
+		// sweep in memory — unsharded for a cooperative worker, whose leases
+		// would have lived in the store.
+		c.warnf("experiments: %s: %v (running without checkpoints)", id, err)
+		if opts.Shard.Owner != "" {
+			c.warnf("experiments: %s: lease-based sharding requires a sweep store; running unsharded", id)
+			opts.Shard = sweep.Shard{}
 		}
 	}
-	if c.SweepDir != "" {
-		open := sweep.Open
-		if sharded {
-			// Peers may be appending to the same store concurrently: load
-			// without compacting, and never reset (sharded runs always
-			// resume — a reset would discard the fleet's work).
-			open = sweep.OpenShared
-		}
-		st, err := open(filepath.Join(c.SweepDir, id))
-		if err != nil {
-			// Checkpointing is an accelerator, never a gate: warn and run the
-			// sweep in memory.
-			c.warnf("experiments: %s: %v (running without checkpoints)", id, err)
-		} else {
-			defer st.Close()
-			if !c.Resume && !sharded {
-				if rerr := st.Reset(); rerr != nil {
-					c.warnf("experiments: %s: %v", id, rerr)
-				}
-			}
-			for _, w := range st.Warnings() {
-				c.warnf("experiments: %s: %s", id, w)
-			}
-			opts.Store = st
-		}
+	if st != nil {
+		defer st.Close()
 	}
-	if c.ShardOwner != "" && opts.Store == nil {
-		c.warnf("experiments: %s: lease-based sharding requires a sweep store; running unsharded", id)
-	} else {
-		opts.Shard = c.shard()
+	for _, w := range warnings {
+		c.warnf("experiments: %s: %s", id, w)
 	}
+	opts.Store = st
 	if c.AdaptiveCI > 0 {
 		opts.Adaptive = sweep.Adaptive{TargetCI: c.AdaptiveCI, MaxSeeds: c.AdaptiveMaxSeeds}
 	}
@@ -332,11 +274,9 @@ func (c Config) runCells(id string, cells []engine.Cell) ([]engine.CellResult, [
 		// channel next to the shared tables): how the fleet's work actually
 		// split. CI smoke jobs assert on it.
 		c.warnf("experiments: %s: worker %s executed %d cells, restored %d (claimed %d groups, stole %d, reclaimed %d leases)",
-			id, c.ShardOwner, stats.Executed, stats.Restored, stats.GroupsClaimed, stats.GroupsStolen, stats.LeasesReclaimed)
+			id, opts.Shard.Owner, stats.Executed, stats.Restored, stats.GroupsClaimed, stats.GroupsStolen, stats.LeasesReclaimed)
 	}
-	// Cells another static shard owns and no store could merge are dropped,
-	// so partial tables aggregate only what actually ran.
-	return sweep.DropNotClaimed(results), stats.Groups
+	return results, stats.Groups
 }
 
 // collect folds cell results into groups in cell order (the streaming

@@ -87,9 +87,10 @@ type GroupSeeds struct {
 	Converged bool
 }
 
-// groupKeyOf collapses a cell to its group identity: the cell key with the
-// seed coordinates removed, so replicas of the same grid point share a group.
-func groupKeyOf(c engine.Cell) string {
+// GroupKey collapses a cell to its group identity, GroupSeeds.Key: the cell
+// key with the seed coordinates removed, so replicas of the same grid point
+// share a group.
+func GroupKey(c engine.Cell) string {
 	c.WorkloadSeed = 0
 	c.AdversarySeed = 0
 	return c.Key()
@@ -98,23 +99,16 @@ func groupKeyOf(c engine.Cell) string {
 // cellGroup is one cell group of a sweep: the cells that differ only in
 // their seeds.
 type cellGroup struct {
-	key    string
-	sample engine.Cell
-	// initial holds the group's input replicas, in input order.
+	key string
+	// initial holds the group's input replicas, in input order; nextReplica
+	// derives the extras from the first.
 	initial []engine.Cell
 	// foreign marks a group outside this worker's static share.
 	foreign bool
 
-	// The round loop's trajectory so far: replicas observed, event counts
-	// of the successful ones, and the largest workload seed consumed.
-	seeds   int
-	values  []float64
-	maxSeed int64
-	// merged marks a foreign group whose closed trajectory the shared
-	// store holds, so the round loop merges its extra replicas too.
-	merged bool
-
-	// final is the claim loop's closed trajectory, results collected.
+	// final is the group's closed trajectory, results collected; nil while
+	// the group is open, and for a static shard's foreign group the store
+	// does not hold whole.
 	final *adaptiveProgress
 }
 
@@ -124,10 +118,10 @@ func groupCells(cells []engine.Cell) (groups, of []*cellGroup) {
 	byKey := make(map[string]*cellGroup)
 	of = make([]*cellGroup, len(cells))
 	for i, c := range cells {
-		key := groupKeyOf(c)
+		key := GroupKey(c)
 		g, ok := byKey[key]
 		if !ok {
-			g = &cellGroup{key: key, sample: c}
+			g = &cellGroup{key: key}
 			byKey[key] = g
 			groups = append(groups, g)
 		}
@@ -135,24 +129,4 @@ func groupCells(cells []engine.Cell) (groups, of []*cellGroup) {
 		of[i] = g
 	}
 	return groups, of
-}
-
-// observe advances the round loop's trajectory by one result. A static
-// shard's unclaimed placeholder is not a replica and is skipped.
-func (g *cellGroup) observe(r engine.CellResult) {
-	if isNotClaimed(r.Err) {
-		return
-	}
-	g.seeds++
-	if r.Cell.WorkloadSeed > g.maxSeed {
-		g.maxSeed = r.Cell.WorkloadSeed
-	}
-	if r.Err == nil {
-		g.values = append(g.values, float64(r.Result.Events))
-	}
-}
-
-// info summarizes a group's trajectory for Stats.Groups.
-func (g *cellGroup) info(ad Adaptive, seeds int, halfWidth float64) GroupSeeds {
-	return GroupSeeds{Key: g.key, Seeds: seeds, HalfWidth: halfWidth, Converged: halfWidth <= ad.TargetCI}
 }

@@ -126,35 +126,12 @@ func (d fsStateDir) publish(group, owner string, body []byte) error {
 	return nil
 }
 
-// adaptivePublisher reads and atomically publishes adaptive-state records
+// adaptivePublisher atomically publishes adaptive-state records
 // through the backend the sweep coordinates over, the same medium that
 // carries its records and leases.
 type adaptivePublisher struct {
 	sink  Backend
 	owner string
-}
-
-// read returns the published state of a cell group. ok is false when the
-// record is missing, torn, unparseable, from another layout or engine
-// version, or names a different group (a hash collision): all of those mean
-// "recompute from the store".
-func (p *adaptivePublisher) read(groupKey string, engineVersion string) (adaptiveState, bool) {
-	data, ok, err := p.sink.LoadState(groupKey)
-	if err != nil || !ok {
-		return adaptiveState{}, false
-	}
-	var wire adaptiveStateJSON
-	if err := json.Unmarshal(data, &wire); err != nil {
-		return adaptiveState{}, false
-	}
-	st := wire.adaptiveState
-	if _, err := fmt.Sscanf(wire.HalfWidthStr, "%g", &st.HalfWidth); err != nil {
-		return adaptiveState{}, false
-	}
-	if st.Version != AdaptiveStateVersion || st.Engine != engineVersion || st.Group != groupKey {
-		return adaptiveState{}, false
-	}
-	return st, true
 }
 
 // publish writes a group's state record atomically, replacing any previous

@@ -88,7 +88,7 @@ func TestRunAdaptiveDeterministicAndResumable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res1, infos1, stats1 := runAdaptive(cells, Options{Store: st, Cache: workload.NewCache()}, ad)
+	res1, infos1, stats1 := runAdaptive(cells, Options{Store: st}, ad)
 	st.Close()
 
 	// Same schedule without a store: adaptive growth is deterministic.

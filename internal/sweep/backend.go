@@ -161,9 +161,6 @@ var errReadOnly = errors.New("sweep: store is read-only")
 // String returns the record file path.
 func (b *FSBackend) String() string { return b.path }
 
-// Dir returns the sweep directory the backend lives in.
-func (b *FSBackend) Dir() string { return b.dir }
-
 // ReadRecords reads the record file from off to its current end. A file that
 // shrank below off (compacted or reset underneath the reader) is served from
 // the start; a missing file reads as empty.

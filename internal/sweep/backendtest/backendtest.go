@@ -309,7 +309,7 @@ func testTwoWorkerByteIdentical(t *testing.T, connect func() sweep.Backend) {
 			}
 			defer st.Close()
 			sh := sweep.Shard{Owner: fmt.Sprintf("w%d", w), TTL: 5 * time.Second, Poll: 10 * time.Millisecond}
-			outs[w], stats[w] = sweep.Run(cells, sweep.Options{Store: st, Cache: workload.NewCache(), Shard: sh})
+			outs[w], stats[w] = sweep.Run(cells, sweep.Options{Store: st, Shard: sh})
 		}(w)
 	}
 	wg.Wait()
@@ -339,7 +339,7 @@ func testTwoWorkerByteIdentical(t *testing.T, connect func() sweep.Backend) {
 func testTwoWorkerAdaptive(t *testing.T, connect func() sweep.Backend) {
 	cells := Cells(2)
 	ad := sweep.Adaptive{TargetCI: 1e-9, MaxSeeds: 3}
-	refRes, refStats := sweep.Run(cells, sweep.Options{Cache: workload.NewCache(), Adaptive: ad})
+	refRes, refStats := sweep.Run(cells, sweep.Options{Adaptive: ad})
 	refSeeds := refStats.Groups
 
 	vandal := connect()
@@ -364,7 +364,7 @@ func testTwoWorkerAdaptive(t *testing.T, connect func() sweep.Backend) {
 			defer st.Close()
 			sh := sweep.Shard{Owner: fmt.Sprintf("w%d", w), TTL: 5 * time.Second, Poll: 10 * time.Millisecond}
 			var stats sweep.Stats
-			outs[w], stats = sweep.Run(cells, sweep.Options{Store: st, Cache: workload.NewCache(), Adaptive: ad, Shard: sh})
+			outs[w], stats = sweep.Run(cells, sweep.Options{Store: st, Adaptive: ad, Shard: sh})
 			seeds[w] = stats.Groups
 		}(w)
 	}

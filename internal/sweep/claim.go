@@ -9,7 +9,7 @@ import (
 )
 
 // adaptiveProgress is a group's position on its seed trajectory, as derived
-// from the result store alone. The trajectory — which seed replicas a group
+// from the known results alone (see history). The trajectory — which seed replicas a group
 // consumes, and when it stops — is a deterministic function of the
 // per-replica results (the stopping rule Adaptive.stopAt evaluated on seed
 // prefixes), so every worker that sees the same store history computes the
@@ -30,45 +30,57 @@ type adaptiveProgress struct {
 	// halfWidth is the 95% CI half-width over the successful replicas so far.
 	halfWidth float64
 	// closed reports that the stopping rule fired: converged or at the cap.
-	// A fixed-grid group closes as soon as its input block is stored.
+	// A fixed-grid group closes as soon as its input block is known.
 	closed bool
 }
 
-// eval walks the group's deterministic seed trajectory against the store's
-// current in-memory view plus a local overlay of results this worker ran but
-// could not checkpoint (Append failures must not stall the trajectory —
-// exactly like the round loop's in-memory accumulation, they only mean the
-// cells re-run on a later resume): first the input replicas, then derived
-// extras (nextReplica) for as long as the stopping rule keeps the group open
-// and a result for the next replica is known. It never runs anything —
-// callers run progress.pending and re-eval.
+// history is what a run knows of the sweep's results: the results this run
+// produced (local, read first) over the store's in-memory view. The local
+// overlay means a result whose checkpoint Append failed still advances its
+// group's trajectory — the failure only makes the cell re-run on a later
+// resume — and a run without a store walks its trajectories from memory.
+type history struct {
+	store *Store
+	local map[string]Stored
+}
+
+func (h history) lookup(key string) (Stored, bool) {
+	if st, ok := h.local[key]; ok {
+		return st, true
+	}
+	if h.store == nil {
+		return Stored{}, false
+	}
+	return h.store.Lookup(key)
+}
+
+// remember records a batch of this run's results in the local overlay.
+func (h history) remember(res []engine.CellResult) {
+	for _, r := range res {
+		h.local[r.Cell.Key()] = Stored{Result: r.Result, Err: r.Err, Elapsed: r.Elapsed}
+	}
+}
+
+// eval walks the group's deterministic seed trajectory against the run's
+// history: first the input replicas, then derived extras (nextReplica) for
+// as long as the stopping rule keeps the group open and a result for the
+// next replica is known. It never runs anything — callers run
+// progress.pending and re-eval.
 //
-// collect controls whether pr.results is materialized. The claim loop peeks
-// at groups on every poll tick just to learn closed/pending; copying every
-// stored result (with its snapshot series) there would be sustained
+// collect controls whether pr.results is materialized. The loops peek at
+// groups on every round or poll tick just to learn closed/pending; copying
+// every known result (with its snapshot series) there would be sustained
 // allocation churn proportional to the whole sweep, so peeks pass false and
-// the full result set is built exactly once, at collection time.
-func (g *cellGroup) eval(ad Adaptive, store *Store, local map[string]Stored, collect bool) adaptiveProgress {
+// the full result set is built exactly once, when the group closes.
+func (g *cellGroup) eval(ad Adaptive, h history, collect bool) adaptiveProgress {
 	var pr adaptiveProgress
 	var values []float64
 	var maxSeed int64
-	lookup := func(key string) (Stored, bool) {
-		if st, ok := store.Lookup(key); ok {
-			return st, true
-		}
-		st, ok := local[key]
-		return st, ok
-	}
 	have := 0
 	observe := func(c engine.Cell, st Stored) {
 		have++
 		if collect {
-			pr.results = append(pr.results, engine.CellResult{
-				Cell:    c,
-				Result:  st.Result,
-				Err:     st.Err,
-				Elapsed: st.Elapsed,
-			})
+			pr.results = append(pr.results, st.result(0, c))
 		}
 		if st.Err == nil {
 			values = append(values, float64(st.Result.Events))
@@ -78,7 +90,7 @@ func (g *cellGroup) eval(ad Adaptive, store *Store, local map[string]Stored, col
 		if c.WorkloadSeed > maxSeed {
 			maxSeed = c.WorkloadSeed
 		}
-		if st, ok := lookup(c.Key()); ok {
+		if st, ok := h.lookup(c.Key()); ok {
 			observe(c, st)
 		} else {
 			pr.pending = append(pr.pending, c)
@@ -86,17 +98,17 @@ func (g *cellGroup) eval(ad Adaptive, store *Store, local map[string]Stored, col
 	}
 	if len(pr.pending) > 0 {
 		// The stopping rule is only ever evaluated on complete seed prefixes
-		// (exactly like the round loop, which finishes a round before
-		// deciding): the initial block must land first.
+		// (a round finishes before the loop decides): the initial block must
+		// land first.
 		pr.seeds = have
 		pr.halfWidth = metrics.CI95HalfWidth(values)
 		return pr
 	}
 	pr.seeds = len(g.initial)
 	for !ad.stopAt(pr.seeds, values) {
-		next := nextReplica(g.sample, maxSeed)
+		next := nextReplica(g.initial[0], maxSeed)
 		maxSeed = next.WorkloadSeed
-		st, ok := lookup(next.Key())
+		st, ok := h.lookup(next.Key())
 		if !ok {
 			pr.pending = append(pr.pending, next)
 			pr.halfWidth = metrics.CI95HalfWidth(values)
@@ -110,6 +122,61 @@ func (g *cellGroup) eval(ad Adaptive, store *Store, local map[string]Stored, col
 	return pr
 }
 
+// assemble lays a run's results out in round order — the input cells in
+// input order, then round by round one extra replica per group still open
+// in that round, groups in first-seen order — and completes stats. Input
+// cells keep their input position as Index; extras are numbered on from
+// len(cells). A group whose trajectory was not collected (a static shard's
+// foreign group the store holds only in part) contributes just the input
+// replicas the history knows.
+func assemble(cells []engine.Cell, groups, of []*cellGroup, h history, ad Adaptive, stats *Stats, execRestored int) []engine.CellResult {
+	out := make([]engine.CellResult, 0, len(cells))
+	next := make(map[*cellGroup]int, len(groups))
+	for i, g := range of {
+		if g.final != nil {
+			r := g.final.results[next[g]]
+			next[g]++
+			r.Index = i
+			out = append(out, r)
+		} else if st, ok := h.lookup(cells[i].Key()); ok {
+			out = append(out, st.result(i, cells[i]))
+		}
+	}
+	extra := len(cells) - len(out) // Index of an extra: extra + len(out)
+	for round, emitted := 0, true; emitted; round++ {
+		emitted = false
+		for _, g := range groups {
+			if k := len(g.initial) + round; g.final != nil && k < len(g.final.results) {
+				r := g.final.results[k]
+				r.Index = extra + len(out)
+				out = append(out, r)
+				emitted = true
+			}
+		}
+	}
+
+	// Everything returned but not executed here was served from the store —
+	// either resumed from an earlier run or appended by peers.
+	stats.Restored = len(out) - stats.Executed
+	if merged := stats.Restored - execRestored; merged > 0 {
+		obsCellsRestored.Add(int64(merged))
+		obs.SweepCells(0, int64(merged))
+	}
+	if ad != (Adaptive{}) {
+		for _, g := range groups {
+			if g.final != nil {
+				stats.Groups = append(stats.Groups, GroupSeeds{
+					Key:       g.key,
+					Seeds:     g.final.seeds,
+					HalfWidth: g.final.halfWidth,
+					Converged: g.final.halfWidth <= ad.TargetCI,
+				})
+			}
+		}
+	}
+	return out
+}
+
 // runClaims is the claim loop: one worker of a cooperative fleet that
 // shares opts.Store. Cell groups are claimed through the store backend's
 // leases (own static share first, then — with Shard.Steal — foreign tail
@@ -121,10 +188,9 @@ func (g *cellGroup) eval(ad Adaptive, store *Store, local map[string]Stored, col
 // publish adaptive-state records (seeds consumed, CI half-width,
 // open/closed) next to the leases.
 //
-// Every worker returns the complete result set in the round loop's order —
-// the input cells, then round by round one extra replica per still-open
-// group — byte-identical for any fleet size, with no replica executed twice
-// while leases hold. OnResult streams it after the drain.
+// Every worker returns the complete result set in the round loop's order
+// (assemble), byte-identical for any fleet size, with no replica executed
+// twice while leases hold.
 func runClaims(cells []engine.Cell, opts Options) ([]engine.CellResult, Stats) {
 	ad := opts.Adaptive.withDefaults()
 	adaptive := ad != (Adaptive{})
@@ -133,8 +199,6 @@ func runClaims(cells []engine.Cell, opts Options) ([]engine.CellResult, Stats) {
 	groups, of := groupCells(cells)
 	obs.SweepGroups(len(groups))
 
-	eopts := opts
-	eopts.OnResult = nil
 	lm := newClaimer(store.Backend(), sh)
 	pub := &adaptivePublisher{sink: store.Backend(), owner: sh.Owner}
 	// publish records a group's progress: an adaptive-state record plus the
@@ -156,13 +220,10 @@ func runClaims(cells []engine.Cell, opts Options) ([]engine.CellResult, Stats) {
 
 	var stats Stats
 	execRestored, closed := 0, 0
-	// local holds results this worker ran that the store could not persist
-	// (Append failures): eval consults it so a broken disk degrades to
-	// re-runs on resume, never to a stalled trajectory.
-	local := make(map[string]Stored)
+	h := history{store: store, local: make(map[string]Stored)}
 	// finish collects a closed group's full replica set.
 	finish := func(g *cellGroup) {
-		pr := g.eval(ad, store, local, true)
+		pr := g.eval(ad, h, true)
 		g.final = &pr
 		closed++
 	}
@@ -189,7 +250,7 @@ func runClaims(cells []engine.Cell, opts Options) ([]engine.CellResult, Stats) {
 		// previous holder may have finished (or advanced) the group between
 		// our store scan and the claim.
 		_, _ = store.Reload()
-		pr := g.eval(ad, store, local, false)
+		pr := g.eval(ad, h, false)
 		if !pr.closed {
 			obs.SweepGroupClaimed(stealing)
 			if stealing {
@@ -197,22 +258,16 @@ func runClaims(cells []engine.Cell, opts Options) ([]engine.CellResult, Stats) {
 			}
 			var stopHB func()
 			if l != nil {
-				stopHB = l.heartbeat(sh.Heartbeat)
+				stopHB = heartbeatLoop(sh.TTL/3, l.renew)
 			}
 			for !pr.closed {
 				publish(g, pr)
-				res, st := execute(pr.pending, eopts, nil)
+				res, st := execute(pr.pending, opts)
 				stats.Executed += st.Executed
 				stats.AppendErrs += st.AppendErrs
 				execRestored += st.Restored
-				// execute appended this block to the store (and its
-				// in-memory view), so the next eval sees the merged history
-				// including this worker's replicas; the local overlay covers
-				// any result the append could not persist.
-				for _, r := range res {
-					local[r.Cell.Key()] = Stored{Result: r.Result, Err: r.Err, Elapsed: r.Elapsed}
-				}
-				pr = g.eval(ad, store, local, false)
+				h.remember(res)
+				pr = g.eval(ad, h, false)
 			}
 			if stopHB != nil {
 				stopHB()
@@ -245,7 +300,7 @@ func runClaims(cells []engine.Cell, opts Options) ([]engine.CellResult, Stats) {
 			// the stored history alone proves the trajectory ended. The peek
 			// (collect=false) keeps the poll loop allocation-light; the full
 			// result set is materialized once, at collection.
-			if pr := g.eval(ad, store, local, false); pr.closed {
+			if pr := g.eval(ad, h, false); pr.closed {
 				finish(g)
 				if adaptive {
 					obs.SweepAdaptive(g.key, pr.seeds, pr.halfWidth, true)
@@ -288,48 +343,7 @@ func runClaims(cells []engine.Cell, opts Options) ([]engine.CellResult, Stats) {
 		_, _ = store.Reload()
 	}
 
-	// Assemble the round loop's order: the input cells first, then round by
-	// round one extra replica per still-open group, groups in first-seen
-	// order.
-	out := make([]engine.CellResult, 0, len(cells))
-	next := make(map[*cellGroup]int, len(groups))
-	for _, g := range of {
-		out = append(out, g.final.results[next[g]])
-		next[g]++
-	}
-	for r := 0; ; r++ {
-		emitted := false
-		for _, g := range groups {
-			if idx := len(g.initial) + r; idx < len(g.final.results) {
-				out = append(out, g.final.results[idx])
-				emitted = true
-			}
-		}
-		if !emitted {
-			break
-		}
-	}
-	for i := range out {
-		out[i].Index = i
-	}
-	// Everything collected but not executed here was served from the store —
-	// either resumed from an earlier run or appended by peers.
-	stats.Restored = len(out) - stats.Executed
-	if merged := stats.Restored - execRestored; merged > 0 {
-		obsCellsRestored.Add(int64(merged))
-		obs.SweepCells(0, int64(merged))
-	}
+	out := assemble(cells, groups, of, h, ad, &stats, execRestored)
 	stats.GroupsSkipped = len(groups) - stats.GroupsClaimed
-	if adaptive {
-		stats.Groups = make([]GroupSeeds, len(groups))
-		for i, g := range groups {
-			stats.Groups[i] = g.info(ad, g.final.seeds, g.final.halfWidth)
-		}
-	}
-	if opts.OnResult != nil {
-		for _, r := range out {
-			opts.OnResult(r)
-		}
-	}
 	return out, stats
 }

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -82,6 +83,29 @@ func testPublisher(t *testing.T, dir, owner string) *adaptivePublisher {
 	}
 	t.Cleanup(func() { b.Close() })
 	return &adaptivePublisher{sink: b, owner: owner}
+}
+
+// read returns the published state of a cell group. ok is false when the
+// record is missing, torn, unparseable, from another layout or engine
+// version, or names a different group (a hash collision): all of those mean
+// "recompute from the store".
+func (p *adaptivePublisher) read(groupKey string, engineVersion string) (adaptiveState, bool) {
+	data, ok, err := p.sink.LoadState(groupKey)
+	if err != nil || !ok {
+		return adaptiveState{}, false
+	}
+	var wire adaptiveStateJSON
+	if err := json.Unmarshal(data, &wire); err != nil {
+		return adaptiveState{}, false
+	}
+	st := wire.adaptiveState
+	if _, err := fmt.Sscanf(wire.HalfWidthStr, "%g", &st.HalfWidth); err != nil {
+		return adaptiveState{}, false
+	}
+	if st.Version != AdaptiveStateVersion || st.Engine != engineVersion || st.Group != groupKey {
+		return adaptiveState{}, false
+	}
+	return st, true
 }
 
 // TestRunShardedTwoConcurrentWorkers is the acceptance test for cooperative
@@ -203,7 +227,7 @@ func TestRunAdaptiveShardedKillMidAdaptive(t *testing.T) {
 	writeStaleLease(t, dir, victim, "dead-worker")
 	if err := testPublisher(t, dir, "dead-worker").publish(adaptiveState{
 		Version: AdaptiveStateVersion, Engine: engine.Version,
-		Group: groupKeyOf(victim), Seeds: 2, HalfWidth: 12345, Closed: false,
+		Group: GroupKey(victim), Seeds: 2, HalfWidth: 12345, Closed: false,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +249,7 @@ func TestRunAdaptiveShardedKillMidAdaptive(t *testing.T) {
 	}
 	sameAdaptiveRun(t, "survivor", res, wantRes, infos, wantInfos)
 	// The survivor's closed state record replaced the dead worker's open one.
-	got, ok := testPublisher(t, dir, "check").read(groupKeyOf(victim), engine.Version)
+	got, ok := testPublisher(t, dir, "check").read(GroupKey(victim), engine.Version)
 	if !ok || !got.Closed {
 		t.Fatalf("victim group state record not closed after recovery: %+v (ok=%v)", got, ok)
 	}
@@ -273,7 +297,7 @@ func emptyShardIndex(t *testing.T, cells []engine.Cell, shards int) int {
 	t.Helper()
 	owned := make(map[int]bool)
 	for _, c := range cells {
-		owned[int(shardHash(groupKeyOf(c))%uint64(shards))] = true
+		owned[int(shardHash(GroupKey(c))%uint64(shards))] = true
 	}
 	for idx := 0; idx < shards; idx++ {
 		if !owned[idx] {
@@ -333,8 +357,8 @@ func TestRunShardedStaticPartition(t *testing.T) { staticPartition(t, fixedMode)
 func TestRunAdaptiveShardedStaticPartition(t *testing.T) { staticPartition(t, adaptiveMode) }
 
 // staticPartition: with no owner and no shared anything, each of two shards
-// runs the full trajectory of exactly its own groups and reports foreign
-// input cells as not claimed; the shards cover every replica of the solo run
+// runs the full trajectory of exactly its own groups and leaves foreign
+// cells out of its result; the shards cover every replica of the solo run
 // exactly once, with identical results, and their group schedules union to
 // the solo schedule.
 func staticPartition(t *testing.T, m sweepMode) {
@@ -361,7 +385,7 @@ func staticPartition(t *testing.T, m sweepMode) {
 			t.Fatalf("shard %d claimed %d groups but reported %d schedules", idx, stats.GroupsClaimed, len(stats.Groups))
 		}
 		groups = stats.GroupsClaimed + stats.GroupsSkipped
-		for _, r := range DropNotClaimed(append([]engine.CellResult(nil), res...)) {
+		for _, r := range res {
 			key := r.Cell.Key()
 			covered[key]++
 			sameResult(t, fmt.Sprintf("shard %d cell %s", idx, key), r, wantByKey[key])
@@ -389,13 +413,45 @@ func staticPartition(t *testing.T, m sweepMode) {
 	}
 }
 
+// TestStaticShardWithoutStoreReturnsOwnCells pins what a storeless static
+// shard of a fixed grid returns: exactly the cells of its own groups, in
+// input order, each with its input position as Index.
+func TestStaticShardWithoutStoreReturnsOwnCells(t *testing.T) {
+	cells := smallCells(2)
+	want := engine.Run(cells, engine.Options{})
+	for idx := 0; idx < 2; idx++ {
+		shard := Shard{Shards: 2, Index: idx}
+		res, _ := Run(cells, Options{Shard: shard})
+		var mine []int
+		for i, c := range cells {
+			if shard.mine(GroupKey(c)) {
+				mine = append(mine, i)
+			}
+		}
+		if len(mine) == 0 || len(mine) == len(cells) {
+			t.Fatalf("shard %d owns %d of %d cells; the grid does not split", idx, len(mine), len(cells))
+		}
+		if len(res) != len(mine) {
+			t.Fatalf("shard %d returned %d cells, want its own %d", idx, len(res), len(mine))
+		}
+		for k, i := range mine {
+			if res[k].Index != i || res[k].Cell.Key() != cells[i].Key() {
+				t.Fatalf("shard %d result %d is cell %s (index %d), want %s (index %d)",
+					idx, k, res[k].Cell.Key(), res[k].Index, cells[i].Key(), i)
+			}
+			sameResult(t, fmt.Sprintf("shard %d cell %d", idx, i), res[k], want[i])
+		}
+	}
+}
+
 // TestStaticShardMergesPartialForeignGroup pins the static-shard merge rule
 // on a shared store: a foreign group's input replicas merge cell by cell
-// (the stored one is restored, the missing one comes back not claimed), but
-// its extra replicas merge only from a closed trajectory — so a foreign
+// (the stored one is restored, the missing one is absent from the result),
+// but its extra replicas merge only from a closed trajectory — so a foreign
 // group the store holds completely merges whole, in round order, while a
 // partially stored one contributes just its stored input replica and no
-// schedule.
+// schedule. Input replicas keep their input position as Index, and extras
+// are numbered on from the input's length.
 func TestStaticShardMergesPartialForeignGroup(t *testing.T) {
 	cells := adaptiveShardCells()
 	ad := tightAdaptive()
@@ -436,7 +492,7 @@ func TestStaticShardMergesPartialForeignGroup(t *testing.T) {
 	stored := make(map[string]bool)
 	havePartial := false
 	for _, r := range wantRes {
-		gk := groupKeyOf(r.Cell)
+		gk := GroupKey(r.Cell)
 		if gk == partial && !havePartial {
 			havePartial = true
 		} else if gk != whole {
@@ -452,29 +508,29 @@ func TestStaticShardMergesPartialForeignGroup(t *testing.T) {
 	if stats.Restored != len(stored) {
 		t.Fatalf("Restored = %d, want %d (the stored foreign replicas)", stats.Restored, len(stored))
 	}
-	// Expected: the solo order, with every unstored foreign input replica as
-	// a placeholder and only the stored foreign extras.
+	// Expected: the solo order without the unstored foreign replicas.
 	var want []engine.CellResult
+	var wantIndex []int
+	extras := 0
 	for i, r := range wantRes {
-		switch {
-		case shard.mine(groupKeyOf(r.Cell)) || stored[r.Cell.Key()]:
-			want = append(want, r)
-		case i < len(cells):
-			want = append(want, engine.CellResult{Cell: r.Cell, Err: ErrNotClaimed})
+		if !shard.mine(GroupKey(r.Cell)) && !stored[r.Cell.Key()] {
+			continue
+		}
+		want = append(want, r)
+		if i < len(cells) {
+			wantIndex = append(wantIndex, i)
+		} else {
+			wantIndex = append(wantIndex, len(cells)+extras)
+			extras++
 		}
 	}
 	if len(res) != len(want) {
 		t.Fatalf("%d results, want %d", len(res), len(want))
 	}
 	for i := range want {
-		if res[i].Index != i || res[i].Cell.Key() != want[i].Cell.Key() {
-			t.Fatalf("result %d is cell %s (index %d), want %s", i, res[i].Cell.Key(), res[i].Index, want[i].Cell.Key())
-		}
-		if isNotClaimed(want[i].Err) {
-			if !isNotClaimed(res[i].Err) {
-				t.Fatalf("result %d: unstored foreign replica came back %v, want ErrNotClaimed", i, res[i].Err)
-			}
-			continue
+		if res[i].Index != wantIndex[i] || res[i].Cell.Key() != want[i].Cell.Key() {
+			t.Fatalf("result %d is cell %s (index %d), want %s (index %d)",
+				i, res[i].Cell.Key(), res[i].Index, want[i].Cell.Key(), wantIndex[i])
 		}
 		sameResult(t, fmt.Sprintf("result %d", i), res[i], want[i])
 	}
@@ -582,39 +638,6 @@ func TestRunAdaptiveShardedSoloMatchesRunAdaptive(t *testing.T) {
 	sameAdaptiveRun(t, "plain resume", res2, wantRes, infos2, wantInfos)
 }
 
-// TestRunShardedOnResultStreamsInOrder pins the collector contract of the
-// claim loop on a fixed grid; see onResultStreamsInOrder.
-func TestRunShardedOnResultStreamsInOrder(t *testing.T) { onResultStreamsInOrder(t, fixedMode) }
-
-// TestRunAdaptiveShardedOnResultStreamsInOrder pins the same contract on the
-// adaptive grid.
-func TestRunAdaptiveShardedOnResultStreamsInOrder(t *testing.T) {
-	onResultStreamsInOrder(t, adaptiveMode)
-}
-
-// onResultStreamsInOrder: OnResult fires once per replica, in canonical index
-// order, after the drain.
-func onResultStreamsInOrder(t *testing.T, m sweepMode) {
-	dir := t.TempDir()
-	st, err := OpenShared(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	var seen []int
-	res, _ := Run(m.cells(), Options{Store: st, Adaptive: m.ad, Shard: fastShard("solo"), OnResult: func(r engine.CellResult) {
-		seen = append(seen, r.Index)
-	}})
-	if len(seen) != len(res) {
-		t.Fatalf("OnResult fired %d times, want %d", len(seen), len(res))
-	}
-	for i, idx := range seen {
-		if idx != i {
-			t.Fatalf("OnResult order broken at %d: got index %d", i, idx)
-		}
-	}
-}
-
 // TestRunAdaptiveShardedSurvivesAppendFailures pins the broken-disk
 // degradation: when every checkpoint append fails (here: a closed store, so
 // Lookup works but Append errors), the worker must still drive every group's
@@ -663,7 +686,7 @@ func waitsForFreshForeignLease(t *testing.T, m sweepMode) {
 	wantRes, wantInfos := m.reference()
 
 	dir := t.TempDir()
-	peerGroup := groupKeyOf(cells[0])
+	peerGroup := GroupKey(cells[0])
 	lm := newLeaseManager(dir, Shard{Owner: "peer", TTL: time.Minute})
 	if err := os.MkdirAll(lm.dir, 0o755); err != nil {
 		t.Fatal(err)
@@ -684,7 +707,7 @@ func waitsForFreshForeignLease(t *testing.T, m sweepMode) {
 		}
 		defer st.Close()
 		for _, r := range wantRes {
-			if groupKeyOf(r.Cell) != peerGroup {
+			if GroupKey(r.Cell) != peerGroup {
 				continue
 			}
 			if err := st.Append(r.Cell.Key(), r); err != nil {
@@ -706,7 +729,7 @@ func waitsForFreshForeignLease(t *testing.T, m sweepMode) {
 	}
 	peerReplicas := 0
 	for _, r := range wantRes {
-		if groupKeyOf(r.Cell) == peerGroup {
+		if GroupKey(r.Cell) == peerGroup {
 			peerReplicas++
 		}
 	}

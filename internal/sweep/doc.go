@@ -24,10 +24,12 @@
 // loop serves solo and static-shard runs: one round of the input cells, then
 // one round of extra replicas per still-open group at a time; a fixed grid
 // is exactly one round. The claim loop serves cooperative workers (a
-// Shard.Owner and a Store): a group's seed trajectory is a deterministic
-// function of its stored per-replica results, so any worker can claim a
-// group, run its next block of replicas, and re-evaluate the stopping rule
-// against the merged cross-worker history. Adaptive groups publish
+// Shard.Owner and a Store): any worker can claim a group, run its next block
+// of replicas, and re-evaluate the stopping rule against the merged
+// cross-worker history. Both loops walk a group's seed trajectory with the
+// same cellGroup.eval — a deterministic function of the per-replica results
+// the run knows, its own over the store's — and lay out their results in the
+// same round order. Adaptive groups publish
 // per-group state records (seeds consumed, CI half-width, open/closed) next
 // to the leases with the same atomic discipline. Cooperating workers drain
 // the sweep, and every one of them returns the complete result set in the
@@ -35,7 +37,5 @@
 //
 // Correctness never depends on lease arbitration: records are keyed by the
 // cell's full identity and are bit-identical no matter which worker produced
-// them, so a lost lease race can at worst duplicate work. The workload cache
-// hook (Options.Cache) memoizes placement generation per (kind, n, seed) in
-// either loop.
+// them, so a lost lease race can at worst duplicate work.
 package sweep

@@ -16,13 +16,6 @@ import (
 	"github.com/fatgather/fatgather/internal/sweep/netbackend"
 )
 
-// groupKeyOf reproduces the sharded runners' seedless group identity.
-func groupKeyOf(c engine.Cell) string {
-	c.WorkloadSeed = 0
-	c.AdversarySeed = 0
-	return c.Key()
-}
-
 func newTestClient(t *testing.T, base, store string) *netbackend.Client {
 	t.Helper()
 	c, err := netbackend.NewClient(base, store)
@@ -71,7 +64,7 @@ func TestWorkerDiesMidClaimAgainstGatherd(t *testing.T) {
 	if err := dst.Close(); err != nil {
 		t.Fatal(err)
 	}
-	staleGroup := groupKeyOf(cells[len(cells)-1])
+	staleGroup := sweep.GroupKey(cells[len(cells)-1])
 	if st, err := doomed.TryClaim(staleGroup, "doomed", 300*time.Millisecond); err != nil || st != sweep.LeaseWon {
 		t.Fatalf("doomed claim = (%v, %v), want LeaseWon", st, err)
 	}

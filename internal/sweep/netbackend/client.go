@@ -49,22 +49,32 @@ type Client struct {
 // backend for that store. It performs no I/O: the first request finds out
 // whether the coordinator is reachable (and retries while it is not).
 func NewClient(coordinator, store string) (*Client, error) {
-	u, err := url.Parse(coordinator)
+	base, err := coordinatorBase(coordinator)
 	if err != nil {
-		return nil, fmt.Errorf("gatherd: bad coordinator URL %q: %w", coordinator, err)
-	}
-	if (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
-		return nil, fmt.Errorf("gatherd: coordinator URL must be http(s)://host[:port], got %q", coordinator)
+		return nil, err
 	}
 	if err := CheckStoreName(store); err != nil {
 		return nil, err
 	}
 	return &Client{
-		base:     strings.TrimRight(u.String(), "/"),
+		base:     base,
 		store:    store,
 		hc:       &http.Client{Timeout: 30 * time.Second},
 		RetryFor: DefaultRetryFor,
 	}, nil
+}
+
+// coordinatorBase validates a coordinator URL and returns it without a
+// trailing slash.
+func coordinatorBase(coordinator string) (string, error) {
+	u, err := url.Parse(coordinator)
+	if err != nil {
+		return "", fmt.Errorf("gatherd: bad coordinator URL %q: %w", coordinator, err)
+	}
+	if (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
+		return "", fmt.Errorf("gatherd: coordinator URL must be http(s)://host[:port], got %q", coordinator)
+	}
+	return strings.TrimRight(u.String(), "/"), nil
 }
 
 // String returns the store's coordinator URL (shown in warnings and logs).

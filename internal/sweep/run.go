@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/fatgather/fatgather/internal/engine"
-	"github.com/fatgather/fatgather/internal/metrics"
 	"github.com/fatgather/fatgather/internal/obs"
 	"github.com/fatgather/fatgather/internal/workload"
 )
@@ -20,21 +19,12 @@ var (
 // Options configures a sweep run.
 type Options struct {
 	// Engine is the underlying engine configuration (worker count, workload
-	// hook). Its OnResult is ignored — use Options.OnResult, which also sees
-	// the cells restored from the store.
+	// hook). Its OnResult is ignored. When its Workloads hook is nil, Run
+	// memoizes workload generation per (kind, n, seed) for the call.
 	Engine engine.Options
 	// Store, when non-nil, is consulted for completed cells before running
 	// and receives every fresh result as workers finish.
 	Store *Store
-	// Cache, when non-nil, memoizes workload generation per (kind, n, seed)
-	// for the cells that actually run (ignored when Engine.Workloads is set).
-	Cache *workload.Cache
-	// OnResult, when non-nil, is invoked once per returned result in
-	// strictly increasing Index order — restored and freshly computed cells
-	// interleaved exactly as an uninterrupted solo run would stream them. A
-	// static shard's unclaimed placeholders are not streamed. It runs on the
-	// calling goroutine.
-	OnResult func(engine.CellResult)
 	// Adaptive configures adaptive seed scheduling; the zero value runs the
 	// input cells as a fixed grid.
 	Adaptive Adaptive
@@ -98,28 +88,34 @@ func (s Stats) Warnings() []string {
 // Run executes the cells like engine.Run, behind the store: cells whose key
 // is already checkpointed are restored instead of re-run, and every fresh
 // result is streamed to the store as its worker finishes, so a resumed run
-// executes only the missing cells and still returns — and streams through
-// OnResult — exactly what an uninterrupted run would.
+// executes only the missing cells and still returns exactly what an
+// uninterrupted run would.
 //
 // Options.Adaptive grows the grid: each cell group (cells that differ only
 // in their seeds) keeps receiving derived seed replicas until its stopping
 // rule fires, and the results come in round order — the input cells, then
-// one extra replica per still-open group per round. Options.Shard makes the
-// call one worker of a sharded sweep. The input picks the loop, never a
-// flag:
+// one extra replica per still-open group per round. Input cells keep their
+// input position as Index; extra replicas are numbered on from len(cells).
+// Options.Shard makes the call one worker of a sharded sweep. The input
+// picks the loop, never a flag:
 //
 //   - With Shard.Owner and a Store, the claim loop (runClaims) drains the
 //     whole sweep cooperatively through leases, and every worker returns
 //     the complete result set, byte-identical to a solo run.
 //   - Otherwise the round loop (runRounds) runs it: solo, or as a static
-//     shard (Shard.Shards > 1) that runs only its own groups and returns
-//     foreign cells it cannot merge from the store with Err ==
-//     ErrNotClaimed.
+//     shard (Shard.Shards > 1) that returns only the cells it ran or
+//     restored — its own groups, plus what the store holds of the others.
+//
+// Both loops walk a group's seed trajectory with the same cellGroup.eval
+// and lay out their results with the same assemble.
 //
 // Correctness never depends on lease arbitration: records are keyed by the
 // cell's full identity and are bit-identical no matter which worker
 // produced them, so a lost lease race can at worst duplicate work.
 func Run(cells []engine.Cell, opts Options) ([]engine.CellResult, Stats) {
+	if opts.Engine.Workloads == nil {
+		opts.Engine.Workloads = workload.NewCache().Generate
+	}
 	if opts.Shard.Owner != "" && opts.Store != nil {
 		return runClaims(cells, opts)
 	}
@@ -132,104 +128,97 @@ func Run(cells []engine.Cell, opts Options) ([]engine.CellResult, Stats) {
 // stopping rule closes every group. A fixed grid is exactly one round, and
 // a solo fixed grid does no grouping work at all.
 //
-// A static shard keeps only its own groups. It merges foreign input
-// replicas from a shared store cell by cell, and a foreign group's extra
-// replicas only once the store holds the group's whole, closed trajectory.
+// A static shard runs only its own groups. Of a foreign group it returns
+// the input replicas the store holds, and the extra replicas only once the
+// store holds the group's whole, closed trajectory.
 func runRounds(cells []engine.Cell, opts Options) ([]engine.CellResult, Stats) {
 	ad := opts.Adaptive.withDefaults()
 	adaptive := ad != (Adaptive{})
 	static := opts.Shard.Shards > 1
 	if !adaptive && !static {
-		return execute(cells, opts, nil)
+		return execute(cells, opts)
 	}
-	groups, pendingOf := groupCells(cells)
+	groups, of := groupCells(cells)
 	obs.SweepGroups(len(groups))
-	if static {
-		for _, g := range groups {
-			g.foreign = !opts.Shard.mine(g.key)
+	h := history{store: opts.Store, local: make(map[string]Stored)}
+	for _, g := range groups {
+		g.foreign = !opts.Shard.mine(g.key)
+		if !g.foreign {
+			continue
 		}
-	}
-	skip := func(i int) bool { return pendingOf[i].foreign }
-
-	userOnResult := opts.OnResult
-	offset := 0
-	if userOnResult != nil {
-		opts.OnResult = func(r engine.CellResult) {
-			r.Index += offset // round-local to global
-			userOnResult(r)
-		}
-	}
-	var (
-		all   []engine.CellResult
-		stats Stats
-	)
-	for pending := cells; len(pending) > 0; {
-		offset = len(all)
-		res, st := execute(pending, opts, skip)
-		stats.Executed += st.Executed
-		stats.Restored += st.Restored
-		stats.AppendErrs += st.AppendErrs
-		for i := range res {
-			res[i].Index = offset + i
-			pendingOf[i].observe(res[i])
-		}
-		if offset == 0 && adaptive && opts.Store != nil {
-			for _, g := range groups {
-				g.merged = g.foreign && g.eval(ad, opts.Store, nil, false).closed
+		// Nothing this run executes belongs to a foreign group, so the
+		// store alone decides, once, whether its trajectory is closed.
+		if pr := g.eval(ad, h, true); pr.closed {
+			g.final = &pr
+			if adaptive {
+				obs.SweepAdaptive(g.key, pr.seeds, pr.halfWidth, true)
 			}
 		}
-		all = append(all, res...)
-		if !adaptive {
-			break
-		}
+	}
 
-		pending, pendingOf = nil, nil
+	var stats Stats
+	execRestored := 0
+	pending := make([]engine.Cell, 0, len(cells))
+	for i, c := range cells {
+		if !of[i].foreign {
+			pending = append(pending, c)
+		}
+	}
+	for len(pending) > 0 {
+		res, st := execute(pending, opts)
+		stats.Executed += st.Executed
+		stats.AppendErrs += st.AppendErrs
+		execRestored += st.Restored
+		h.remember(res)
+
+		pending = nil
 		open, closed := 0, 0
 		for _, g := range groups {
-			if g.foreign && !g.merged {
+			if g.final != nil {
+				closed++
 				continue
 			}
-			hw := metrics.CI95HalfWidth(g.values)
-			if ad.stopAt(g.seeds, g.values) {
+			if g.foreign {
+				continue
+			}
+			pr := g.eval(ad, h, false)
+			if adaptive {
+				obs.SweepAdaptive(g.key, pr.seeds, pr.halfWidth, pr.closed)
+			}
+			if pr.closed {
+				pr = g.eval(ad, h, true)
+				g.final = &pr
 				closed++
-				obs.SweepAdaptive(g.key, g.seeds, hw, true)
 				continue
 			}
 			open++
-			obs.SweepAdaptive(g.key, g.seeds, hw, false)
-			pending = append(pending, nextReplica(g.sample, g.maxSeed))
-			pendingOf = append(pendingOf, g)
+			pending = append(pending, pr.pending...)
 		}
-		obsAdaptiveOpen.Set(float64(open))
-		obsAdaptiveClosed.Set(float64(closed))
+		if adaptive {
+			obsAdaptiveOpen.Set(float64(open))
+			obsAdaptiveClosed.Set(float64(closed))
+		}
 	}
 
-	for _, g := range groups {
-		if adaptive && (!g.foreign || g.merged) {
-			stats.Groups = append(stats.Groups, g.info(ad, g.seeds, metrics.CI95HalfWidth(g.values)))
-		}
-		if !static {
-			continue
-		}
-		if g.foreign {
-			stats.GroupsSkipped++
-		} else {
+	if static {
+		for _, g := range groups {
+			if g.foreign {
+				stats.GroupsSkipped++
+				continue
+			}
 			stats.GroupsClaimed++
 			obs.SweepGroupClaimed(false)
 			obs.SweepGroupDone()
 		}
 	}
-	return all, stats
+	return assemble(cells, groups, of, h, ad, &stats, execRestored), stats
 }
 
 // execute is one round of a sweep: engine.Run behind the store. Cells whose
 // key is checkpointed are restored instead of re-run, and every fresh result
-// is streamed to the store as its worker finishes. A missing cell for which
-// skip (when non-nil) reports true is not run: it comes back as a
-// placeholder with Err == ErrNotClaimed. OnResult sees every other cell in
-// increasing Index order, restored and fresh interleaved exactly as an
-// uninterrupted run streams them.
-func execute(cells []engine.Cell, opts Options, skip func(i int) bool) ([]engine.CellResult, Stats) {
+// is streamed to the store as its worker finishes. The results come back in
+// cell order, Index the position in cells.
+func execute(cells []engine.Cell, opts Options) ([]engine.CellResult, Stats) {
 	n := len(cells)
 	results := make([]engine.CellResult, n)
 	var stats Stats
@@ -240,20 +229,10 @@ func execute(cells []engine.Cell, opts Options, skip func(i int) bool) ([]engine
 		keys[i] = c.Key()
 		if opts.Store != nil {
 			if st, ok := opts.Store.Lookup(keys[i]); ok {
-				results[i] = engine.CellResult{
-					Index:   i,
-					Cell:    c,
-					Result:  st.Result,
-					Err:     st.Err,
-					Elapsed: st.Elapsed,
-				}
+				results[i] = st.result(i, c)
 				stats.Restored++
 				continue
 			}
-		}
-		if skip != nil && skip(i) {
-			results[i] = engine.CellResult{Index: i, Cell: c, Err: ErrNotClaimed}
-			continue
 		}
 		missing = append(missing, i)
 	}
@@ -262,28 +241,11 @@ func execute(cells []engine.Cell, opts Options, skip func(i int) bool) ([]engine
 	obsCellsRestored.Add(int64(stats.Restored))
 	obs.SweepCells(int64(stats.Executed), int64(stats.Restored))
 
-	eopts := opts.Engine
-	if eopts.Workloads == nil && opts.Cache != nil {
-		eopts.Workloads = opts.Cache.Generate
-	}
-
-	// Stream restored and fresh results interleaved in global cell order:
-	// everything before a fresh cell is either restored (pre-filled above) or
-	// an earlier fresh cell (already streamed, since the engine reports the
-	// missing subset in increasing order).
-	emitted := 0
-	emitThrough := func(limit int) {
-		for ; emitted < limit; emitted++ {
-			if opts.OnResult != nil && !isNotClaimed(results[emitted].Err) {
-				opts.OnResult(results[emitted])
-			}
-		}
-	}
-
 	sub := make([]engine.Cell, len(missing))
 	for k, i := range missing {
 		sub[k] = cells[i]
 	}
+	eopts := opts.Engine
 	eopts.OnResult = func(r engine.CellResult) {
 		g := missing[r.Index]
 		r.Index = g
@@ -293,9 +255,7 @@ func execute(cells []engine.Cell, opts Options, skip func(i int) bool) ([]engine
 				stats.AppendErrs++
 			}
 		}
-		emitThrough(g + 1)
 	}
 	engine.Run(sub, eopts)
-	emitThrough(n)
 	return results, stats
 }

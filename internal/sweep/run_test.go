@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/fatgather/fatgather/internal/engine"
+	"github.com/fatgather/fatgather/internal/obs"
 	"github.com/fatgather/fatgather/internal/workload"
 )
 
@@ -24,7 +25,7 @@ func TestRunKillAndResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, stats := Run(cells, Options{Store: st, Cache: workload.NewCache()})
+	full, stats := Run(cells, Options{Store: st})
 	if stats.Executed != len(cells) || stats.Restored != 0 {
 		t.Fatalf("fresh run stats %+v", stats)
 	}
@@ -46,21 +47,14 @@ func TestRunKillAndResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Resume: only the missing cells run, and the merged results (and their
-	// streaming order) are identical to the uninterrupted run.
+	// Resume: only the missing cells run, and the merged results are
+	// identical to the uninterrupted run.
 	re, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	var streamed []int
-	resumed, stats := Run(cells, Options{
-		Store: re,
-		Cache: workload.NewCache(),
-		OnResult: func(r engine.CellResult) {
-			streamed = append(streamed, r.Index)
-		},
-	})
+	resumed, stats := Run(cells, Options{Store: re})
 	if stats.Restored != keep {
 		t.Fatalf("resumed run restored %d cells, want %d", stats.Restored, keep)
 	}
@@ -71,15 +65,10 @@ func TestRunKillAndResume(t *testing.T) {
 		t.Fatalf("stats don't cover the batch: %+v", stats)
 	}
 	for i := range cells {
-		sameResult(t, cells[i].Key(), resumed[i], reference[i])
-	}
-	if len(streamed) != len(cells) {
-		t.Fatalf("OnResult called %d times for %d cells", len(streamed), len(cells))
-	}
-	for i, idx := range streamed {
-		if idx != i {
-			t.Fatalf("OnResult order %v not strictly increasing", streamed)
+		if resumed[i].Index != i {
+			t.Fatalf("resumed result %d has index %d", i, resumed[i].Index)
 		}
+		sameResult(t, cells[i].Key(), resumed[i], reference[i])
 	}
 	// Everything is checkpointed again after the resume.
 	if re.Done() != len(cells) {
@@ -99,9 +88,9 @@ func TestRunWithoutStoreMatchesEngine(t *testing.T) {
 	}
 }
 
-// TestRunWorkloadCacheHits proves the memoizing cache actually deduplicates
-// generation across the adversary axis (same kind, n, seed in every group)
-// without changing results.
+// TestRunWorkloadCacheHits proves that Run, given no workload hook, memoizes
+// generation and so deduplicates it across the adversary axis (same kind, n,
+// seed in every group) without changing results.
 func TestRunWorkloadCacheHits(t *testing.T) {
 	cells := engine.Batch{
 		Workloads:   []workload.Kind{workload.KindClustered},
@@ -112,12 +101,16 @@ func TestRunWorkloadCacheHits(t *testing.T) {
 	}.Cells()
 	want := engine.Run(cells, engine.Options{})
 
-	cache := workload.NewCache()
-	got, _ := Run(cells, Options{Cache: cache})
+	// The cache's process-wide counters; no test in this package runs in
+	// parallel, so the deltas are this Run's.
+	hitCount := obs.NewCounter("fatgather_workload_cache_hits_total")
+	missCount := obs.NewCounter("fatgather_workload_cache_misses_total")
+	hits0, misses0 := hitCount.Value(), missCount.Value()
+	got, _ := Run(cells, Options{})
 	for i := range cells {
 		sameResult(t, cells[i].Key(), got[i], want[i])
 	}
-	hits, misses := cache.Stats()
+	hits, misses := hitCount.Value()-hits0, missCount.Value()-misses0
 	if misses != 2 { // 2 distinct (kind, n, seed) triples
 		t.Fatalf("cache generated %d placements, want 2", misses)
 	}

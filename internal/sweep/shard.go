@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/fatgather/fatgather/internal/engine"
 	"github.com/fatgather/fatgather/internal/obs"
 )
 
@@ -23,13 +22,6 @@ var (
 	obsLeaseReclaims = obs.NewCounter("fatgather_sweep_lease_reclaims_total")
 	obsGroupSteals   = obs.NewCounter("fatgather_sweep_group_steals_total")
 )
-
-// ErrNotClaimed marks a cell that a statically sharded worker skipped because
-// the cell's group belongs to another shard and no shared store was available
-// to merge the peer's result from. Callers that render partial tables filter
-// these results out; in cooperative (lease) mode they never occur, because the
-// coordinator drains the store until every cell is complete.
-var ErrNotClaimed = errors.New("sweep: cell not claimed by this shard")
 
 // Default lease-layer timing knobs (see Shard).
 const (
@@ -65,11 +57,10 @@ type Shard struct {
 	// store, so every cooperating worker returns the complete result set.
 	Owner string
 	// TTL is how long a lease outlives its last heartbeat (default
-	// DefaultLeaseTTL). Shorter TTLs reclaim dead workers' groups faster but
-	// tolerate less scheduling jitter between heartbeats.
+	// DefaultLeaseTTL); the holder renews it every TTL/3. Shorter TTLs
+	// reclaim dead workers' groups faster but tolerate less scheduling
+	// jitter between heartbeats.
 	TTL time.Duration
-	// Heartbeat is the lease renewal interval (default TTL/3).
-	Heartbeat time.Duration
 	// Poll is how often a waiting worker re-reads the shared store and
 	// re-tries claims while peers hold the remaining groups (default
 	// DefaultPoll).
@@ -95,9 +86,6 @@ type Shard struct {
 func (sh Shard) withDefaults() Shard {
 	if sh.TTL <= 0 {
 		sh.TTL = DefaultLeaseTTL
-	}
-	if sh.Heartbeat <= 0 {
-		sh.Heartbeat = sh.TTL / 3
 	}
 	if sh.Poll <= 0 {
 		sh.Poll = DefaultPoll
@@ -155,23 +143,6 @@ func shardHash(groupKey string) uint64 {
 	return h.Sum64()
 }
 
-// DropNotClaimed filters out the results a static shard did not cover
-// (Err == ErrNotClaimed), in place. Cooperative (lease) runs never produce
-// such results; static shards without a shared store use this to aggregate
-// only what actually ran.
-func DropNotClaimed(results []engine.CellResult) []engine.CellResult {
-	kept := results[:0]
-	for _, r := range results {
-		if !isNotClaimed(r.Err) {
-			kept = append(kept, r)
-		}
-	}
-	return kept
-}
-
-// isNotClaimed reports the static-shard placeholder error.
-func isNotClaimed(err error) bool { return errors.Is(err, ErrNotClaimed) }
-
 // leaseRecord is the JSON body of a lease file.
 type leaseRecord struct {
 	// Owner is the worker id that holds the lease.
@@ -190,15 +161,6 @@ type leaseManager struct {
 	owner string
 	ttl   time.Duration
 	now   func() time.Time
-}
-
-func newLeaseManager(sweepDir string, sh Shard) *leaseManager {
-	return &leaseManager{
-		dir:   filepath.Join(sweepDir, leasesDir),
-		owner: sh.Owner,
-		ttl:   sh.TTL,
-		now:   time.Now,
-	}
 }
 
 // pathFor returns the lease file path for a cell group.
@@ -354,14 +316,6 @@ func (l *lease) release() {
 	_ = os.Remove(l.path)
 }
 
-// heartbeat renews the lease every interval until the returned stop function
-// is called. Renewal failures are ignored: the lease then simply expires and
-// the group becomes reclaimable, which is safe (duplicate runs append
-// bit-identical records).
-func (l *lease) heartbeat(every time.Duration) (stop func()) {
-	return heartbeatLoop(every, l.renew)
-}
-
 // heartbeatLoop runs renew every interval until it reports false (the lease
 // was lost to a peer — stop renewing and let arbitration stand) or the
 // returned stop function is called. Renewal errors are ignored: the lease
@@ -460,9 +414,4 @@ func (l *claimed) renew() (bool, error) {
 // release drops the lease (only if still ours).
 func (l *claimed) release() {
 	_ = l.c.b.ReleaseLease(l.group, l.c.owner)
-}
-
-// heartbeat renews the lease every interval until stopped or lost.
-func (l *claimed) heartbeat(every time.Duration) (stop func()) {
-	return heartbeatLoop(every, l.renew)
 }

@@ -16,13 +16,20 @@ func fastShard(owner string) Shard {
 	return Shard{Owner: owner, TTL: 5 * time.Second, Poll: 10 * time.Millisecond}
 }
 
+// newLeaseManager is one worker's lease-file manager over a sweep
+// directory, built like FSBackend.managerFor but on the wall clock.
+func newLeaseManager(sweepDir string, sh Shard) *leaseManager {
+	b := newReadOnlyFSBackend(sweepDir)
+	return b.managerFor(sh.Owner, sh.TTL)
+}
+
 // writeStaleLease plants an expired lease for a cell group, as a worker
 // killed mid-group would leave behind.
 func writeStaleLease(t *testing.T, dir string, cell engine.Cell, owner string) string {
 	t.Helper()
 	m := newLeaseManager(dir, Shard{Owner: owner, TTL: time.Minute})
 	m.now = func() time.Time { return time.Now().Add(-2 * time.Minute) }
-	l, reclaimed, err := m.claim(groupKeyOf(cell))
+	l, reclaimed, err := m.claim(GroupKey(cell))
 	if err != nil || l == nil {
 		t.Fatalf("planting stale lease: %v (lease %v)", err, l)
 	}
@@ -122,7 +129,7 @@ func TestLeaseHeartbeatKeepsLeaseFresh(t *testing.T) {
 	if err != nil || l == nil {
 		t.Fatalf("claim failed: %v", err)
 	}
-	stop := l.heartbeat(ttl / 6)
+	stop := heartbeatLoop(ttl/6, l.renew)
 
 	rival := newLeaseManager(dir, Shard{Owner: "rival", TTL: ttl})
 	deadline := time.Now().Add(4 * ttl) // far beyond the unrenewed expiry
@@ -220,7 +227,7 @@ func TestLeaseReclaimContention(t *testing.T) {
 			go func(w int) {
 				defer wg.Done()
 				m := newLeaseManager(dir, Shard{Owner: fmt.Sprintf("w%d", w), TTL: time.Minute})
-				l, _, err := m.claim(groupKeyOf(engine.Cell{Workload: "clustered", N: 3}))
+				l, _, err := m.claim(GroupKey(engine.Cell{Workload: "clustered", N: 3}))
 				if err != nil {
 					t.Errorf("worker %d: %v", w, err)
 					return

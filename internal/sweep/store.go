@@ -153,6 +153,11 @@ type Stored struct {
 	Elapsed time.Duration
 }
 
+// result is the stored cell as the engine would report it at index i.
+func (st Stored) result(i int, c engine.Cell) engine.CellResult {
+	return engine.CellResult{Index: i, Cell: c, Result: st.Result, Err: st.Err, Elapsed: st.Elapsed}
+}
+
 // Store is an append-only JSONL checkpoint of completed sweep cells over a
 // coordination Backend (a sweep directory by default, the gatherd coordinator
 // over HTTP). Opening a store loads every readable record; corrupt or
@@ -166,7 +171,6 @@ type Stored struct {
 type Store struct {
 	mu       sync.Mutex
 	b        Backend
-	dir      string
 	path     string
 	done     map[string]Stored
 	warnings []string
@@ -247,9 +251,6 @@ func newStore(b Backend, shared, appendable bool) (*Store, error) {
 		path:       b.String(),
 		done:       make(map[string]Stored),
 		appendable: appendable,
-	}
-	if d, ok := b.(interface{ Dir() string }); ok {
-		s.dir = d.Dir()
 	}
 	good, corrupt, mismatch, consumed, err := s.load()
 	if err != nil {
@@ -466,10 +467,6 @@ func (s *Store) Warnings() []string {
 // stores, the coordinator store URL for network ones (useful in logs and
 // tests).
 func (s *Store) Path() string { return s.path }
-
-// Dir returns the sweep directory the store lives in ("" for stores over
-// non-filesystem backends).
-func (s *Store) Dir() string { return s.dir }
 
 // Backend returns the coordination backend the store was opened over; the
 // sharded runners claim cell-group leases and publish adaptive state through
