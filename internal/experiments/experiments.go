@@ -199,11 +199,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// engineOpts is the engine configuration the drivers share.
-func (c Config) engineOpts() engine.Options {
-	return engine.Options{Workers: c.Workers}
-}
-
 func (c Config) warnf(format string, args ...any) {
 	if c.Warnf != nil {
 		c.Warnf(format, args...)
@@ -231,7 +226,7 @@ func (c Config) runCells(id string, cells []engine.Cell) ([]engine.CellResult, [
 	// scheduling.
 	obs.SweepBegin(id, c.ShardOwner)
 	defer obs.SweepEnd()
-	opts := sweep.Options{Engine: c.engineOpts(), Shard: c.shard()}
+	opts := sweep.Options{Engine: engine.Options{Workers: c.Workers}, Shard: c.shard()}
 	if err := c.Validate(); err != nil {
 		// A misconfigured shard silently claims zero groups; running the
 		// sweep unsharded (and saying so) is strictly more useful. Only the

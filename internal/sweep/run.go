@@ -211,7 +211,8 @@ func runRounds(cells []engine.Cell, opts Options) ([]engine.CellResult, Stats) {
 			obs.SweepGroupDone()
 		}
 	}
-	return assemble(cells, groups, of, h, ad, &stats, execRestored), stats
+	out := assemble(cells, groups, of, h, ad, &stats, execRestored)
+	return out, stats
 }
 
 // execute is one round of a sweep: engine.Run behind the store. Cells whose

@@ -223,10 +223,8 @@ func OpenShared(dir string) (*Store, error) { return open(dir, true) }
 
 // OpenBackend opens a store over an explicit coordination backend (the
 // gatherd client, a conformance-suite medium). Backend stores always use
-// shared semantics — peers may be appending through the same coordinator, so
-// corrupt lines are skipped rather than compacted away — and are never Reset
-// by the callers that thread a coordinator through (the coordinator's log
-// outlives any single worker, like a resumed shared directory).
+// shared semantics: peers may be appending through the same coordinator, so
+// corrupt lines are skipped rather than compacted away.
 func OpenBackend(b Backend) (*Store, error) { return newStore(b, true, true) }
 
 func open(dir string, shared bool) (*Store, error) {
