@@ -77,12 +77,41 @@ func TestParseSpecErrors(t *testing.T) {
 		{"fair+trunc=1", "truncation fraction must be in [0, 1)"},
 		{"fair+noise=-1", "noise bound must be non-negative"},
 		{"fair+crash=-1", "crash count must be non-negative"},
+		{"fair+noise=Inf", "noise bound must be finite"},
+		{"fair+noise=NaN", "noise bound must be finite"},
+		{"fair+trunc=NaN", "truncation fraction must be finite"},
 	}
 	for _, tc := range cases {
 		if _, err := ParseSpec(tc.text); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("ParseSpec(%q) error %v, want substring %q", tc.text, err, tc.want)
 		}
 	}
+}
+
+// FuzzSpecRoundTrip: every spec text ParseSpec accepts renders, through
+// String, to a text that parses back to the same normalized spec. The seeds
+// include the non-finite magnitudes, which unseeded fuzzing does not reach
+// within the 30 s CI budget.
+func FuzzSpecRoundTrip(f *testing.F) {
+	for _, seed := range []string{
+		"fair", "crash(2)", "crash+crash=0", "random-async+crash=1+noise=0.05+trunc=0.2",
+		"fair+noise=Inf", "fair+noise=NaN", "fair+trunc=NaN", "fair+noise=-0", "fair+noise=0x1p-4",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		s, err := ParseSpec(text)
+		if err != nil {
+			return
+		}
+		back, err := ParseSpec(s.String())
+		if err != nil {
+			t.Fatalf("ParseSpec(%q) = %#v, but its String %q does not parse: %v", text, s, s.String(), err)
+		}
+		if back != s.Normalized() {
+			t.Fatalf("ParseSpec(%q) = %#v; String %q parses back to %#v, want %#v", text, s, s.String(), back, s.Normalized())
+		}
+	})
 }
 
 func TestGreedyStallDelaysHullShrinker(t *testing.T) {

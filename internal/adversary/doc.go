@@ -13,7 +13,7 @@
 //     strategies GreedyStall (delay the robot whose move would shrink the
 //     hull most) and RoundRobinLag (maximally skew activation phases) use
 //     the richer view. Package sched holds only the event vocabulary the
-//     interface speaks (EventKind, MoveAction, DefaultDelta).
+//     interface speaks (MoveAction, DefaultDelta).
 //   - Decorators compose faults onto any base strategy: Crash permanently
 //     stops k seeded-random robots after their first completed move
 //     (returning NoRobot once only crashed robots remain, which the simulator

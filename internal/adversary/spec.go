@@ -2,6 +2,7 @@ package adversary
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -178,6 +179,14 @@ func (s Spec) Validate() error {
 	}
 	if s.Strategy == NameCrash && s.crashK() < 1 {
 		return fmt.Errorf("adversary: the %s strategy needs a positive crash count, got %d", NameCrash, s.Crash)
+	}
+	// NaN passes every comparison below, and neither NaN nor ±Inf survives
+	// the String/ParseSpec round trip, so both are rejected up front.
+	if math.IsNaN(s.Noise) || math.IsInf(s.Noise, 0) {
+		return fmt.Errorf("adversary: noise bound must be finite, got %g", s.Noise)
+	}
+	if math.IsNaN(s.Trunc) || math.IsInf(s.Trunc, 0) {
+		return fmt.Errorf("adversary: truncation fraction must be finite, got %g", s.Trunc)
 	}
 	if s.Noise < 0 {
 		return fmt.Errorf("adversary: noise bound must be non-negative, got %g", s.Noise)

@@ -66,7 +66,7 @@ func runNonDetSource(pass *analysis.Pass) error {
 				switch fn.Name() {
 				case "Now", "Since", "Until":
 					pass.Reportf(call.Pos(),
-						"call to time.%s reads the wall clock in a determinism-contract package; inject a clock (cf. leaseManager.now) or //gatherlint:ignore nondetsource <reason>", fn.Name())
+						"call to time.%s reads the wall clock in a determinism-contract package; inject a clock (cf. FSBackend.now) or //gatherlint:ignore nondetsource <reason>", fn.Name())
 				}
 			case "os":
 				switch fn.Name() {

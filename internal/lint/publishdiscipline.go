@@ -27,15 +27,12 @@ var PublishDiscipline = &analysis.Analyzer{
 var publishPackages = []string{"internal/sweep"}
 
 // publishAllowlist names the audited publish helpers: Store.rewrite
-// (compaction), adaptivePublisher.publish (adaptive-state records), and the
-// lease quartet lease.create/renew plus leaseManager.claim (reclaim shuffles
-// a stale lease aside and back atomically).
+// (compaction), adaptivePublisher.publish (adaptive-state records) and
+// FSBackend.create (the exclusive create behind every lease generation).
 var publishAllowlist = map[string]bool{
 	"rewrite": true,
 	"publish": true,
 	"create":  true,
-	"renew":   true,
-	"claim":   true,
 }
 
 // publishCalls are the os package functions that make bytes visible at a
@@ -63,7 +60,7 @@ func runPublishDiscipline(pass *analysis.Pass) error {
 				return true
 			}
 			pass.Reportf(call.Pos(),
-				"direct os.%s in internal/sweep: peers may observe a torn file; publish through the temp+link/rename helpers (lease.create/renew, adaptivePublisher.publish, Store.rewrite)", fn.Name())
+				"direct os.%s in internal/sweep: peers may observe a torn file; publish through the temp+link/rename helpers (FSBackend.create, adaptivePublisher.publish, Store.rewrite)", fn.Name())
 			return true
 		})
 	}

@@ -33,7 +33,7 @@ func seeded(seed int64) float64 {
 }
 
 // injected stores the clock function without calling it: the injection-point
-// pattern (cf. leaseManager.now) is the remediation, not a violation.
+// pattern (cf. FSBackend.now) is the remediation, not a violation.
 type ticker struct{ now func() time.Time }
 
 func injected() ticker {

@@ -5,7 +5,7 @@
 // robot is scheduled infinitely often, and a moving robot always covers at
 // least min(delta, distance-to-target) before it can be stopped.
 //
-// This package holds only the event-model vocabulary: EventKind, MoveAction
-// and DefaultDelta. The scheduling policies themselves implement
+// This package holds only the event-model vocabulary: MoveAction and
+// DefaultDelta. The scheduling policies themselves implement
 // internal/adversary.Strategy, the simulator's one scheduling interface.
 package sched

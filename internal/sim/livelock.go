@@ -16,21 +16,21 @@ package sim
 //     a positive distance, or a robot terminated) or it does not. Healthy
 //     runs in the pinned experiment grids show zero-progress streaks up to
 //     ~1150 events (E5 fair n=16: 1135; E9 random-async: 1037), so the
-//     detector stays dormant until the streak reaches LivelockWindow
-//     (default 2000) consecutive zero-progress events. Below the window the
+//     detector stays dormant until the streak reaches DefaultLivelockWindow
+//     (2000) consecutive zero-progress events. Below the window the
 //     per-event cost is one branch on a bool.
 //  2. Configuration fingerprinting. Once the window is exceeded, every event
 //     appends the exact joint configuration signature — per robot: protocol
 //     state, position bits, move target bits, and a hash of the last view
 //     snapshot — to a recurrence map. Zero progress freezes positions
 //     bit-for-bit, so a true cycle repeats signatures exactly; when one
-//     signature recurs LivelockRecurrences times (default 3) the livelock
+//     signature recurs DefaultLivelockRecurrences times (3) the livelock
 //     is certified. Randomized strategies whose schedule never revisits the
 //     exact joint state (view-noise faults re-perturb every Look) are
 //     caught by a hard cap instead: a streak of
-//     LivelockWindow*livelockHardCapFactor zero-progress events certifies
-//     unconditionally, because by then the configuration has been frozen
-//     for 8 windows with nothing left that could unfreeze it.
+//     DefaultLivelockWindow*livelockHardCapFactor zero-progress events
+//     certifies unconditionally, because by then the configuration has been
+//     frozen for 8 windows with nothing left that could unfreeze it.
 //
 // Detection is deterministic (pure function of the event sequence) and is
 // invisible to any run that ends within the window, which keeps the pinned
@@ -39,8 +39,8 @@ package sim
 //
 // While fingerprinting, the detector also keeps a bounded ring of trace
 // frames (positions + protocol states + move targets); on certification the
-// last LivelockTraceFrames of them become Result.LivelockTrace, a replayable
-// snippet of the cycle for gatherviz -trace.
+// last DefaultLivelockTraceFrames of them become Result.LivelockTrace, a
+// replayable snippet of the cycle for gatherviz -trace.
 
 import (
 	"encoding/binary"
@@ -52,7 +52,9 @@ import (
 	"github.com/fatgather/fatgather/internal/trace"
 )
 
-// Livelock detector defaults (see Options.LivelockWindow and friends).
+// Livelock detector settings. They are constants, not options: a livelocked
+// run's event count and trace depend on them, and so do the results stored
+// for it.
 const (
 	// DefaultLivelockWindow is the zero-progress streak length after which
 	// configurations are fingerprinted. It must exceed the longest streak a
@@ -92,7 +94,7 @@ func (s *Simulator) noteLivelockProgress() bool {
 		return false
 	}
 	s.zeroStreak++
-	if s.zeroStreak < s.opts.LivelockWindow {
+	if s.zeroStreak < DefaultLivelockWindow {
 		return false
 	}
 	sig := s.livelockSignature()
@@ -103,8 +105,8 @@ func (s *Simulator) noteLivelockProgress() bool {
 	}
 	s.llSeen[sig]++
 	s.captureLivelockFrame()
-	if s.llSeen[sig] >= s.opts.LivelockRecurrences ||
-		s.zeroStreak >= s.opts.LivelockWindow*livelockHardCapFactor {
+	if s.llSeen[sig] >= DefaultLivelockRecurrences ||
+		s.zeroStreak >= DefaultLivelockWindow*livelockHardCapFactor {
 		s.llTrace = s.buildLivelockTrace()
 		return true
 	}
@@ -146,10 +148,6 @@ func (s *Simulator) livelockSignature() string {
 // captureLivelockFrame appends the current configuration to the bounded
 // snippet ring (oldest frame dropped first).
 func (s *Simulator) captureLivelockFrame() {
-	max := s.opts.LivelockTraceFrames
-	if max < 0 {
-		return
-	}
 	f := trace.Frame{
 		Event:   s.events,
 		Centers: make([]trace.Point, s.n),
@@ -163,9 +161,9 @@ func (s *Simulator) captureLivelockFrame() {
 			f.Targets[i] = &trace.Point{X: r.Target.X, Y: r.Target.Y}
 		}
 	}
-	if len(s.llFrames) >= max {
+	if len(s.llFrames) >= DefaultLivelockTraceFrames {
 		copy(s.llFrames, s.llFrames[1:])
-		s.llFrames = s.llFrames[:max-1]
+		s.llFrames = s.llFrames[:DefaultLivelockTraceFrames-1]
 	}
 	s.llFrames = append(s.llFrames, f)
 }

@@ -125,14 +125,13 @@ func TestLivelockDetectionDisabled(t *testing.T) {
 
 func TestLivelockWindowDefersCertification(t *testing.T) {
 	cfg, opts := livelockCase(t)
-	opts.MaxEvents = 20000
-	opts.LivelockWindow = 19999 // window beyond budget: detector stays dormant
+	opts.MaxEvents = DefaultLivelockWindow - 1 // budget below the window: detector stays dormant
 	res, err := Run(cfg, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Outcome != OutcomeBudgetExhausted {
-		t.Fatalf("outcome = %v, want budget-exhausted with an oversized window", res.Outcome)
+		t.Fatalf("outcome = %v, want budget-exhausted with a budget below the window", res.Outcome)
 	}
 }
 

@@ -160,19 +160,6 @@ type Options struct {
 	// event budget and end OutcomeBudgetExhausted, as they did before the
 	// detector existed.
 	NoLivelockDetection bool
-	// LivelockWindow is the number of consecutive zero-progress events after
-	// which the detector starts fingerprinting configurations; <=0 means
-	// DefaultLivelockWindow. The window must stay above any zero-progress
-	// streak a healthy run exhibits (see livelock.go for measured streaks).
-	LivelockWindow int
-	// LivelockRecurrences is how many times one configuration signature must
-	// recur with zero progress in between before the livelock is certified;
-	// <=0 means DefaultLivelockRecurrences.
-	LivelockRecurrences int
-	// LivelockTraceFrames bounds the trace snippet captured around the
-	// certified cycle (Result.LivelockTrace); 0 means
-	// DefaultLivelockTraceFrames, negative disables snippet capture.
-	LivelockTraceFrames int
 }
 
 func (o Options) withDefaults() Options {
@@ -190,15 +177,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxEvents <= 0 {
 		o.MaxEvents = DefaultMaxEvents
-	}
-	if o.LivelockWindow <= 0 {
-		o.LivelockWindow = DefaultLivelockWindow
-	}
-	if o.LivelockRecurrences <= 0 {
-		o.LivelockRecurrences = DefaultLivelockRecurrences
-	}
-	if o.LivelockTraceFrames == 0 {
-		o.LivelockTraceFrames = DefaultLivelockTraceFrames
 	}
 	return o
 }
@@ -246,8 +224,8 @@ type Result struct {
 	SurvivorsGathered bool
 	// LivelockTrace is a bounded snippet of the certified zero-progress
 	// cycle, recorded by the livelock detector for offline inspection
-	// (gatherviz -trace). Nil unless Outcome is OutcomeLivelocked and
-	// snippet capture is enabled (Options.LivelockTraceFrames >= 0).
+	// (gatherviz -trace): the last DefaultLivelockTraceFrames frames of the
+	// cycle. Nil unless Outcome is OutcomeLivelocked.
 	LivelockTrace *trace.Trace
 	Err           error
 }

@@ -75,8 +75,8 @@ func (a adaptiveState) marshal() []byte {
 }
 
 // fsStateDir publishes adaptive-state records into one adaptive/ directory.
-// The discipline mirrors the lease files: a record is materialized in a temp
-// file first and enters the directory atomically (hard-link for the first
+// Like a lease generation, a record is materialized in a temp file first and
+// enters the directory atomically (hard-link for the first
 // publication, rename for updates), so a reader never observes a torn record
 // — at worst a stale or missing one, both of which degrade to recomputation
 // from the result store.
@@ -85,7 +85,7 @@ type fsStateDir struct {
 }
 
 // pathFor returns the state file path for a cell group (same hash scheme as
-// the lease files, so the two directories line up for debugging).
+// the lease directories, so the two line up for debugging).
 func (d fsStateDir) pathFor(groupKey string) string {
 	return filepath.Join(d.dir, fmt.Sprintf("state-%016x.json", shardHash(groupKey)))
 }

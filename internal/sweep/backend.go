@@ -236,47 +236,50 @@ func (b *FSBackend) rewrite(data []byte) error {
 	return nil
 }
 
-// managerFor builds the lease-file manager for one (owner, ttl) pair; the
-// manager itself (claim/renew/release over lease files) predates the Backend
-// interface and stays the FS arbitration engine.
-func (b *FSBackend) managerFor(owner string, ttl time.Duration) *leaseManager {
-	return &leaseManager{
-		dir:   filepath.Join(b.dir, leasesDir),
-		owner: owner,
-		ttl:   ttl,
-		now:   b.now,
-	}
-}
-
-// TryClaim arbitrates a cell-group claim through the lease files.
+// TryClaim takes the lease when the group's newest generation is absent
+// (LeaseWon) or expired, clock-skewed, unreadable or the owner's own
+// (LeaseReclaimed); a fresh foreign generation reports LeaseHeld.
 func (b *FSBackend) TryClaim(group, owner string, ttl time.Duration) (LeaseStatus, error) {
-	l, reclaimed, err := b.managerFor(owner, ttl).claim(group)
+	gen, won, err := b.advance(group, owner, ttl, func(rec leaseRecord, err error) bool {
+		return err != nil || rec.Owner == owner || !fresh(rec, b.now())
+	})
 	switch {
-	case err != nil:
+	case err != nil || !won:
 		return LeaseHeld, err
-	case l == nil:
-		return LeaseHeld, nil
-	case reclaimed:
-		return LeaseReclaimed, nil
-	default:
+	case gen == 0:
 		return LeaseWon, nil
+	default:
+		return LeaseReclaimed, nil
 	}
 }
 
-// RenewLease extends the owner's lease file, backing off (false) when the
-// file meanwhile belongs to another owner.
+// RenewLease publishes the owner's next lease generation when the newest one
+// is absent, unreadable or the owner's own, and backs off (false) when it
+// belongs to another owner.
 func (b *FSBackend) RenewLease(group, owner string, ttl time.Duration) (bool, error) {
-	m := b.managerFor(owner, ttl)
-	l := &lease{m: m, path: m.pathFor(group), group: group}
-	return l.renew()
+	_, won, err := b.advance(group, owner, ttl, func(rec leaseRecord, err error) bool {
+		return err != nil || rec.Owner == owner
+	})
+	return won, err
 }
 
-// ReleaseLease removes the owner's lease file (foreign leases are left
-// untouched).
+// ReleaseLease removes the group's lease directory when the newest generation
+// is the owner's; a foreign, unreadable or missing lease is left untouched.
+// Only the generations listed here are removed, so one a peer publishes
+// meanwhile survives and keeps the directory.
 func (b *FSBackend) ReleaseLease(group, owner string) error {
-	m := b.managerFor(owner, 0)
-	l := &lease{m: m, path: m.pathFor(group), group: group}
-	l.release()
+	dir := b.leaseDir(group)
+	gens, err := generations(dir)
+	if err != nil || len(gens) == 0 {
+		return err
+	}
+	if rec, err := readLease(genPath(dir, gens[len(gens)-1])); err != nil || rec.Owner != owner {
+		return nil
+	}
+	for _, gen := range gens {
+		_ = os.Remove(genPath(dir, gen))
+	}
+	_ = os.Remove(dir)
 	return nil
 }
 

@@ -35,6 +35,7 @@ func Run(t *testing.T, factory Factory) {
 	t.Run("RecordReloadTail", func(t *testing.T) { testRecordReloadTail(t, factory(t)) })
 	t.Run("LeaseOrdering", func(t *testing.T) { testLeaseOrdering(t, factory(t)) })
 	t.Run("LeaseExpiry", func(t *testing.T) { testLeaseExpiry(t, factory(t)) })
+	t.Run("LeaseReclaimContention", func(t *testing.T) { testLeaseReclaimContention(t, factory(t)) })
 	t.Run("LeaseTTLValidation", func(t *testing.T) { testLeaseTTLValidation(t, factory(t)) })
 	t.Run("AdaptiveState", func(t *testing.T) { testAdaptiveState(t, factory(t)) })
 	t.Run("TwoWorkerByteIdentical", func(t *testing.T) { testTwoWorkerByteIdentical(t, factory(t)) })
@@ -230,6 +231,56 @@ func testLeaseExpiry(t *testing.T, connect func() sweep.Backend) {
 	time.Sleep(120 * time.Millisecond)
 	if st, err := b2.TryClaim(g, "w2", 30*time.Second); err != nil || st != sweep.LeaseReclaimed {
 		t.Fatalf("claim of expired lease = (%v, %v), want LeaseReclaimed", st, err)
+	}
+}
+
+// testLeaseReclaimContention pins the take-over of an expired lease under
+// contention: of several workers racing to reclaim it, exactly one wins
+// (LeaseReclaimed) and every other one sees the winner's fresh lease
+// (LeaseHeld). Each round races on its own group, planted through the API as
+// a 1 ms lease that has expired by the time the race starts.
+func testLeaseReclaimContention(t *testing.T, connect func() sweep.Backend) {
+	const workers, rounds = 8, 20
+	views := make([]sweep.Backend, workers)
+	for w := range views {
+		views[w] = connect()
+		defer func(b sweep.Backend) { _ = b.Close() }(views[w])
+	}
+	group := func(round int) string { return fmt.Sprintf("group-race-%d", round) }
+	for round := 0; round < rounds; round++ {
+		if st, err := views[0].TryClaim(group(round), "dead", time.Millisecond); err != nil || st != sweep.LeaseWon {
+			t.Fatalf("planting lease %d = (%v, %v), want LeaseWon", round, st, err)
+		}
+	}
+	time.Sleep(20 * time.Millisecond)
+	for round := 0; round < rounds; round++ {
+		statuses := make([]sweep.LeaseStatus, workers)
+		var wg sync.WaitGroup
+		for w := range views {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				st, err := views[w].TryClaim(group(round), fmt.Sprintf("w%d", w), time.Minute)
+				if err != nil {
+					t.Errorf("round %d worker %d: %v", round, w, err)
+				}
+				statuses[w] = st
+			}(w)
+		}
+		wg.Wait()
+		reclaimed := 0
+		for w, st := range statuses {
+			switch st {
+			case sweep.LeaseReclaimed:
+				reclaimed++
+			case sweep.LeaseHeld:
+			default:
+				t.Errorf("round %d worker %d: status %v, want LeaseReclaimed or LeaseHeld", round, w, st)
+			}
+		}
+		if reclaimed != 1 {
+			t.Fatalf("round %d: %d workers reclaimed the expired lease, want exactly 1", round, reclaimed)
+		}
 	}
 }
 

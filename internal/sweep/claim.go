@@ -199,8 +199,8 @@ func runClaims(cells []engine.Cell, opts Options) ([]engine.CellResult, Stats) {
 	groups, of := groupCells(cells)
 	obs.SweepGroups(len(groups))
 
-	lm := newClaimer(store.Backend(), sh)
-	pub := &adaptivePublisher{sink: store.Backend(), owner: sh.Owner}
+	b := store.Backend()
+	pub := &adaptivePublisher{sink: b, owner: sh.Owner}
 	// publish records a group's progress: an adaptive-state record plus the
 	// live /progress entry. Fixed grids have no adaptive state to publish.
 	publish := func(g *cellGroup, pr adaptiveProgress) {
@@ -232,19 +232,24 @@ func runClaims(cells []engine.Cell, opts Options) ([]engine.CellResult, Stats) {
 	// whether this worker made progress on the group (claimed it, or closed
 	// it leaselessly); false means a peer holds a fresh lease.
 	attemptRun := func(g *cellGroup, stealing bool) bool {
-		l, reclaimed, err := lm.claim(g.key)
-		if err != nil {
+		status, err := b.TryClaim(g.key, sh.Owner, sh.TTL)
+		leased := err == nil
+		switch {
+		case err != nil:
 			// The lease layer is broken (unwritable dir, I/O error). Leases
 			// only split work, never guard correctness — duplicate replicas
 			// append bit-identical records — so run leaseless rather than
 			// spinning on a claim that cannot succeed.
 			stats.LeaseErrs++
-		} else if l == nil {
+		case status == LeaseHeld:
 			return false
-		}
-		if reclaimed {
+		case status == LeaseReclaimed:
+			obsLeaseReclaims.Inc()
 			stats.LeasesReclaimed++
 			obs.SweepLeaseReclaimed()
+		}
+		if leased {
+			obsLeaseClaims.Inc()
 		}
 		// Merge the fleet's history before deciding what is left to run: the
 		// previous holder may have finished (or advanced) the group between
@@ -257,8 +262,14 @@ func runClaims(cells []engine.Cell, opts Options) ([]engine.CellResult, Stats) {
 				obsGroupSteals.Inc()
 			}
 			var stopHB func()
-			if l != nil {
-				stopHB = heartbeatLoop(sh.TTL/3, l.renew)
+			if leased {
+				stopHB = heartbeatLoop(sh.TTL/3, func() (bool, error) {
+					ok, err := b.RenewLease(g.key, sh.Owner, sh.TTL)
+					if ok {
+						obsLeaseRenewals.Inc()
+					}
+					return ok, err
+				})
 			}
 			for !pr.closed {
 				publish(g, pr)
@@ -283,8 +294,8 @@ func runClaims(cells []engine.Cell, opts Options) ([]engine.CellResult, Stats) {
 		// claimed: no replica of it ran here.
 		finish(g)
 		publish(g, pr)
-		if l != nil {
-			l.release()
+		if leased {
+			_ = b.ReleaseLease(g.key, sh.Owner)
 		}
 		return true
 	}

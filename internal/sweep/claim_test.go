@@ -687,13 +687,9 @@ func waitsForFreshForeignLease(t *testing.T, m sweepMode) {
 
 	dir := t.TempDir()
 	peerGroup := GroupKey(cells[0])
-	lm := newLeaseManager(dir, Shard{Owner: "peer", TTL: time.Minute})
-	if err := os.MkdirAll(lm.dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	l, _, err := lm.claim(peerGroup)
-	if err != nil || l == nil {
-		t.Fatalf("peer claim failed: %v", err)
+	peer := newReadOnlyFSBackend(dir)
+	if st, err := peer.TryClaim(peerGroup, "peer", time.Minute); err != nil || st == LeaseHeld {
+		t.Fatalf("peer claim failed: (%v, %v)", st, err)
 	}
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -714,7 +710,9 @@ func waitsForFreshForeignLease(t *testing.T, m sweepMode) {
 				t.Errorf("peer append: %v", err)
 			}
 		}
-		l.release()
+		if err := peer.ReleaseLease(peerGroup, "peer"); err != nil {
+			t.Errorf("peer release: %v", err)
+		}
 	}()
 
 	st, err := OpenShared(dir)

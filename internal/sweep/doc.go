@@ -13,10 +13,11 @@
 //   - Sharding (Options.Shard): multi-process (or multi-host, over a shared
 //     filesystem or a gatherd coordinator) sweeps. Static shards partition
 //     the cell groups by a stable hash. Cooperative workers claim cell
-//     groups through leases in the store's backend (O_EXCL lease files with
-//     owner id and expiry timestamp on a filesystem), heartbeat them while
-//     running, skip groups completed in the store or freshly leased by
-//     peers, and reclaim expired leases so a killed worker's cells re-run.
+//     groups through leases in the store's backend (on a filesystem, lease
+//     generation files with owner id and expiry timestamp, each published by
+//     exclusive create), heartbeat them while running, skip groups
+//     completed in the store or freshly leased by peers, and reclaim expired
+//     leases so a killed worker's cells re-run.
 //     With Shard.Steal, a worker that drains its static share claims
 //     unclaimed or expired tail groups outside it instead of idling.
 //

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/fatgather/fatgather/internal/engine"
 	"github.com/fatgather/fatgather/internal/obs"
@@ -140,4 +141,51 @@ func containsSubstring(lines []string, sub string) bool {
 		}
 	}
 	return false
+}
+
+// FuzzLeaseRecord writes arbitrary bytes as a cell group's newest lease
+// generation and claims the group. The claim must never panic or error: a
+// well-formed, fresh, foreign record is respected (LeaseHeld), and anything
+// else is reclaimed, after which the newest generation reads back owned by
+// the claimant.
+func FuzzLeaseRecord(f *testing.F) {
+	now := time.Unix(1_700_000_000, 0)
+	record := func(owner string, expires time.Time) []byte {
+		blob, err := json.Marshal(leaseRecord{Owner: owner, Group: "g", Expires: expires.UnixNano()})
+		if err != nil {
+			f.Fatal(err)
+		}
+		return blob
+	}
+	for _, tc := range corruptLeases {
+		f.Add([]byte(tc.blob))
+	}
+	f.Add(record("peer", now.Add(time.Minute)))       // fresh foreign
+	f.Add(record("peer", now.Add(-time.Minute)))      // expired
+	f.Add(record("peer", now.Add(2*MaxLeaseHorizon))) // clock-skewed
+	f.Add(record("claimant", now.Add(time.Minute)))   // own
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		b := newReadOnlyFSBackend(t.TempDir())
+		b.now = func() time.Time { return now }
+		writeNewestLease(t, b, "g", blob)
+		rec, rerr := readLease(genPath(b.leaseDir("g"), 1))
+		held := rerr == nil && rec.Owner != "claimant" && fresh(rec, now)
+
+		st, err := b.TryClaim("g", "claimant", time.Minute)
+		if err != nil {
+			t.Fatalf("claim over %q: %v", blob, err)
+		}
+		if held {
+			if st != LeaseHeld {
+				t.Fatalf("claim over fresh foreign %q = %v, want LeaseHeld", blob, st)
+			}
+			return
+		}
+		if st != LeaseReclaimed {
+			t.Fatalf("claim over %q = %v, want LeaseReclaimed", blob, st)
+		}
+		if got, err := newestLease(b, "g"); err != nil || got.Owner != "claimant" {
+			t.Fatalf("lease after reclaiming %q = (%+v, %v), want owner claimant", blob, got, err)
+		}
+	})
 }

@@ -27,25 +27,16 @@ func TestCheckLeaseTTL(t *testing.T) {
 	}
 }
 
-func edgeManager(t *testing.T, owner string, ttl time.Duration) *leaseManager {
-	t.Helper()
-	m := newLeaseManager(t.TempDir(), Shard{Owner: owner, TTL: ttl})
-	if err := os.MkdirAll(m.dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
-
-// TestClaimRejectsBadTTL: the manager refuses to mint a lease it could not
+// TestClaimRejectsBadTTL: the backend refuses to mint a lease it could not
 // defend — zero, negative and beyond-horizon TTLs all fail the claim itself
 // rather than producing a lease peers would instantly reclaim.
 func TestClaimRejectsBadTTL(t *testing.T) {
 	for _, ttl := range []time.Duration{0, -time.Second, MaxLeaseHorizon + time.Hour} {
-		m := edgeManager(t, "w1", ttl)
-		if l, _, err := m.claim("g"); err == nil || l != nil {
-			t.Errorf("claim with ttl=%v = (%v, %v), want rejection", ttl, l, err)
+		b := newReadOnlyFSBackend(t.TempDir())
+		if st, err := b.TryClaim("g", "w1", ttl); err == nil || st != LeaseHeld {
+			t.Errorf("claim with ttl=%v = (%v, %v), want rejection", ttl, st, err)
 		}
-		if _, err := os.Stat(m.pathFor("g")); !os.IsNotExist(err) {
+		if _, err := os.Stat(b.leaseDir("g")); !os.IsNotExist(err) {
 			t.Errorf("claim with ttl=%v left a lease file behind", ttl)
 		}
 	}
@@ -54,76 +45,72 @@ func TestClaimRejectsBadTTL(t *testing.T) {
 // TestRenewRejectsBadTTL: renewal re-validates the TTL (a worker whose config
 // mutated mid-run must not extend a lease beyond the horizon either).
 func TestRenewRejectsBadTTL(t *testing.T) {
-	m := edgeManager(t, "w1", time.Minute)
-	l, _, err := m.claim("g")
-	if err != nil || l == nil {
-		t.Fatalf("claim: (%v, %v)", l, err)
+	b := newReadOnlyFSBackend(t.TempDir())
+	if st, err := b.TryClaim("g", "w1", time.Minute); err != nil || st == LeaseHeld {
+		t.Fatalf("claim: (%v, %v)", st, err)
 	}
 	for _, ttl := range []time.Duration{0, -time.Minute, MaxLeaseHorizon + time.Hour} {
-		l.m.ttl = ttl
-		if ok, err := l.renew(); err == nil || ok {
+		if ok, err := b.RenewLease("g", "w1", ttl); err == nil || ok {
 			t.Errorf("renew with ttl=%v = (%v, %v), want rejection", ttl, ok, err)
 		}
 	}
 }
 
-func writeLeaseJSON(t *testing.T, m *leaseManager, group string, rec leaseRecord) {
+func writeLeaseJSON(t *testing.T, b *FSBackend, group string, rec leaseRecord) {
 	t.Helper()
 	blob, err := json.Marshal(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(m.pathFor(group), append(blob, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeNewestLease(t, b, group, append(blob, '\n'))
 }
 
 // TestClaimReclaimsClockSkewedLease: a lease whose expiry sits further out
 // than MaxLeaseHorizon can only come from a peer with a broken clock; honoring
 // it would park the group forever. The claim must treat it like an expired
-// lease: move it aside and take over.
+// lease and take over.
 func TestClaimReclaimsClockSkewedLease(t *testing.T) {
-	m := edgeManager(t, "w2", time.Minute)
-	writeLeaseJSON(t, m, "g", leaseRecord{
+	b := newReadOnlyFSBackend(t.TempDir())
+	writeLeaseJSON(t, b, "g", leaseRecord{
 		Owner:   "skewed-peer",
 		Group:   "g",
 		Expires: time.Now().Add(1000 * time.Hour).UnixNano(),
 	})
-	l, reclaimed, err := m.claim("g")
-	if err != nil || l == nil || !reclaimed {
-		t.Fatalf("claim over skewed lease = (%v, %v, %v), want reclaim", l, reclaimed, err)
+	st, err := b.TryClaim("g", "w2", time.Minute)
+	if err != nil || st != LeaseReclaimed {
+		t.Fatalf("claim over skewed lease = (%v, %v), want reclaim", st, err)
 	}
-	rec, err := readLease(l.path)
+	rec, err := newestLease(b, "g")
 	if err != nil || rec.Owner != "w2" {
 		t.Fatalf("lease after reclaim = (%+v, %v), want owner w2", rec, err)
 	}
 }
 
-// TestClaimReclaimsCorruptLease walks the torn-write taxonomy: a truncated
-// JSON prefix, an empty file, a record with no owner, and a negative expiry
-// are all the debris of a dead or broken writer — each must be reclaimed, not
-// trusted and not fatal.
+// corruptLeases is the torn-write taxonomy: a truncated JSON prefix, an empty
+// file, a record with no owner, and a negative expiry are all the debris of a
+// dead or broken writer. FuzzLeaseRecord starts from them too.
+var corruptLeases = []struct {
+	name string
+	blob string
+}{
+	{"torn", `{"owner":"dead","gro`},
+	{"empty", ""},
+	{"ownerless", `{"group":"g","expires_unix_ns":9999999999999999999}`},
+	{"negative-expiry", `{"owner":"dead","group":"g","expires_unix_ns":-1}`},
+}
+
+// TestClaimReclaimsCorruptLease walks corruptLeases: each must be reclaimed,
+// not trusted and not fatal.
 func TestClaimReclaimsCorruptLease(t *testing.T) {
-	cases := []struct {
-		name string
-		blob string
-	}{
-		{"torn", `{"owner":"dead","gro`},
-		{"empty", ""},
-		{"ownerless", `{"group":"g","expires_unix_ns":9999999999999999999}`},
-		{"negative-expiry", `{"owner":"dead","group":"g","expires_unix_ns":-1}`},
-	}
-	for _, tc := range cases {
+	for _, tc := range corruptLeases {
 		t.Run(tc.name, func(t *testing.T) {
-			m := edgeManager(t, "w2", time.Minute)
-			if err := os.WriteFile(m.pathFor("g"), []byte(tc.blob), 0o644); err != nil {
-				t.Fatal(err)
+			b := newReadOnlyFSBackend(t.TempDir())
+			writeNewestLease(t, b, "g", []byte(tc.blob))
+			st, err := b.TryClaim("g", "w2", time.Minute)
+			if err != nil || st != LeaseReclaimed {
+				t.Fatalf("claim over %s lease = (%v, %v), want reclaim", tc.name, st, err)
 			}
-			l, reclaimed, err := m.claim("g")
-			if err != nil || l == nil || !reclaimed {
-				t.Fatalf("claim over %s lease = (%v, %v, %v), want reclaim", tc.name, l, reclaimed, err)
-			}
-			if rec, err := readLease(l.path); err != nil || rec.Owner != "w2" {
+			if rec, err := newestLease(b, "g"); err != nil || rec.Owner != "w2" {
 				t.Fatalf("lease after reclaim = (%+v, %v), want owner w2", rec, err)
 			}
 		})

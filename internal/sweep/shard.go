@@ -7,6 +7,9 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -14,8 +17,9 @@ import (
 )
 
 // Telemetry (internal/obs): write-only lease-layer counters, one-way
-// contract — arbitration never consults them. The live /progress view is fed
-// through the obs.Sweep* write helpers at the claim/run sites below.
+// contract — arbitration never consults them. The claim loop (runClaims)
+// counts them at its Backend call sites, next to the obs.Sweep* write helpers
+// that feed the live /progress view.
 var (
 	obsLeaseClaims   = obs.NewCounter("fatgather_sweep_lease_claims_total")
 	obsLeaseRenewals = obs.NewCounter("fatgather_sweep_lease_renewals_total")
@@ -135,7 +139,7 @@ func (sh Shard) mine(groupKey string) bool {
 }
 
 // shardHash maps a group key to a stable 64-bit hash, used both for static
-// shard assignment and for lease file names. FNV-1a: stable across runs,
+// shard assignment and for lease directory names. FNV-1a: stable across runs,
 // builds and hosts, which is what makes the static partition deterministic.
 func shardHash(groupKey string) uint64 {
 	h := fnv.New64a()
@@ -143,177 +147,137 @@ func shardHash(groupKey string) uint64 {
 	return h.Sum64()
 }
 
-// leaseRecord is the JSON body of a lease file.
+// leaseRecord is the JSON body of a lease generation file.
 type leaseRecord struct {
 	// Owner is the worker id that holds the lease.
 	Owner string `json:"owner"`
-	// Group is the cell-group key the lease covers (informational: the file
-	// name already binds the lease to the group's hash).
+	// Group is the cell-group key the lease covers (informational: the
+	// directory name already binds the lease to the group's hash).
 	Group string `json:"group"`
 	// Expires is the lease expiry as Unix nanoseconds; a lease whose expiry
 	// is in the past is stale and may be reclaimed by any worker.
 	Expires int64 `json:"expires_unix_ns"`
 }
 
-// leaseManager claims, renews and releases lease files for one worker.
-type leaseManager struct {
-	dir   string // <sweep dir>/leases
-	owner string
-	ttl   time.Duration
-	now   func() time.Time
-}
-
-// pathFor returns the lease file path for a cell group.
-func (m *leaseManager) pathFor(groupKey string) string {
-	return filepath.Join(m.dir, fmt.Sprintf("lease-%016x.json", shardHash(groupKey)))
-}
-
-// lease is one held lease.
-type lease struct {
-	m     *leaseManager
-	path  string
-	group string
-}
-
-// claim tries to take the lease for a cell group. It returns (nil, false)
-// when another worker holds a fresh lease; otherwise the claimed lease and
-// whether it was reclaimed from a stale/corrupt predecessor. A fresh claim
-// is an atomic link into place, so exactly one contending worker wins; a
-// stale lease is reclaimed by atomically renaming its inode aside (again,
-// one winner), re-verifying that what was grabbed really is the stale lease
-// — a plain remove+recreate could delete a lease that a faster reclaimer
-// had already replaced — and only then claiming. Losing any of these races
-// is reported as "not claimed".
-func (m *leaseManager) claim(groupKey string) (*lease, bool, error) {
-	if err := CheckLeaseTTL(m.ttl); err != nil {
-		return nil, false, err
-	}
-	if err := os.MkdirAll(m.dir, 0o755); err != nil {
-		return nil, false, fmt.Errorf("sweep: create lease dir: %w", err)
-	}
-	l := &lease{m: m, path: m.pathFor(groupKey), group: groupKey}
-	err := l.create()
-	if err == nil {
-		return l, false, nil
-	}
-	if !errors.Is(err, os.ErrExist) {
-		return nil, false, err
-	}
-	rec, rerr := readLease(l.path)
-	if rerr == nil && rec.Owner != m.owner && m.fresh(rec) {
-		return nil, false, nil // fresh foreign lease
-	}
-	// Stale, corrupt/torn, clock-skewed, or our own (a restarted worker
-	// reclaims itself): take the inode by renaming it to a name private to
-	// this owner.
-	aside := fmt.Sprintf("%s.reclaim.%016x", l.path, shardHash(m.owner))
-	if err := os.Rename(l.path, aside); err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			// Released or reclaimed underneath us; try a fresh claim.
-			if cerr := l.create(); cerr == nil {
-				return l, false, nil
-			} else if errors.Is(cerr, os.ErrExist) {
-				return nil, false, nil
-			} else {
-				return nil, false, cerr
-			}
-		}
-		return nil, false, fmt.Errorf("sweep: reclaim lease: %w", err)
-	}
-	if got, gerr := readLease(aside); gerr == nil && got.Owner != m.owner && m.fresh(got) {
-		// Between our read and the rename, a faster reclaimer replaced the
-		// stale lease with a fresh one of its own — we grabbed a live lease.
-		// Put it back (atomically; if a third worker claimed the path in the
-		// gap, leave their lease and just drop the grabbed one: its owner
-		// backs off at the next renew, which at worst duplicates work).
-		if lerr := os.Link(aside, l.path); lerr != nil && !errors.Is(lerr, os.ErrExist) {
-			os.Remove(aside)
-			return nil, false, fmt.Errorf("sweep: reclaim lease: %w", lerr)
-		}
-		os.Remove(aside)
-		return nil, false, nil
-	}
-	os.Remove(aside)
-	if err := l.create(); err != nil {
-		if errors.Is(err, os.ErrExist) {
-			return nil, false, nil
-		}
-		return nil, false, err
-	}
-	return l, true, nil
-}
-
-// fresh reports whether a lease record is live: not yet expired, with an
-// expiry no further out than MaxLeaseHorizon. A farther expiry can only come
-// from a peer's badly skewed clock or a corrupt record; honoring it would pin
-// the group until that far-future instant passes — long after the writer died
-// — so such a lease is treated as reclaimable instead.
-func (m *leaseManager) fresh(rec leaseRecord) bool {
-	now := m.now()
+// fresh reports whether a lease record is live at now: not yet expired, with
+// an expiry no further out than MaxLeaseHorizon. A farther expiry can only
+// come from a peer's badly skewed clock or a corrupt record; honoring it would
+// pin the group until that far-future instant passes — long after the writer
+// died — so such a lease is treated as reclaimable instead.
+func fresh(rec leaseRecord, now time.Time) bool {
 	return now.UnixNano() < rec.Expires && rec.Expires <= now.Add(MaxLeaseHorizon).UnixNano()
 }
 
-// create atomically publishes a fresh lease file: the body is written to a
-// private temp file and hard-linked into place. Linking is atomic and fails
-// with EEXIST when the lease exists, so exactly one contender wins AND a
-// visible lease file is always complete — a create-then-write sequence would
-// let a peer read the empty file mid-claim, judge it corrupt, and "reclaim"
-// a lease that was being taken (observed as duplicated groups in two-process
-// runs).
-func (l *lease) create() error {
-	tmp := fmt.Sprintf("%s.claim.%016x", l.path, shardHash(l.m.owner))
-	if err := os.WriteFile(tmp, l.body(), 0o644); err != nil {
-		return fmt.Errorf("sweep: write lease: %w", err)
+// leaseDir returns the directory holding a cell group's lease: the newest of
+// the numbered generation files in it (FORMAT.md). Claim and renew publish the
+// next generation through advance; nothing is ever renamed over a lease.
+func (b *FSBackend) leaseDir(group string) string {
+	return filepath.Join(b.dir, leasesDir, fmt.Sprintf("%016x", shardHash(group)))
+}
+
+// genPath returns the path of one lease generation.
+func genPath(dir string, gen uint64) string {
+	return filepath.Join(dir, strconv.FormatUint(gen, 10)+".json")
+}
+
+// generations lists the lease generations in dir, oldest first. A missing
+// directory holds none; names that are not generations are skipped, and so
+// are numbers of 2^63 and above, whose successor could overflow.
+func generations(dir string) ([]uint64, error) {
+	entries, err := os.ReadDir(dir)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, nil
 	}
-	defer os.Remove(tmp)
-	if err := os.Link(tmp, l.path); err != nil {
-		if errors.Is(err, os.ErrExist) {
-			return os.ErrExist
+	if err != nil {
+		return nil, fmt.Errorf("sweep: list leases: %w", err)
+	}
+	var gens []uint64
+	for _, e := range entries {
+		if num, ok := strings.CutSuffix(e.Name(), ".json"); ok {
+			if gen, err := strconv.ParseUint(num, 10, 63); err == nil {
+				gens = append(gens, gen)
+			}
 		}
-		return fmt.Errorf("sweep: claim lease: %w", err)
 	}
-	return nil
+	slices.Sort(gens)
+	return gens, nil
 }
 
-func (l *lease) body() []byte {
-	rec := leaseRecord{
-		Owner:   l.m.owner,
-		Group:   l.group,
-		Expires: l.m.now().Add(l.m.ttl).UnixNano(),
+// advance is the one lease step behind TryClaim and RenewLease. It reads the
+// group's newest generation (gen 0 and os.ErrNotExist when there is none) and
+// lets accept judge it. On acceptance it publishes generation gen+1 for owner
+// by exclusive create, so of all workers acting on the same newest generation
+// exactly one wins. The winner lists the directory once more: an even newer
+// generation means it acted on a listing that a faster peer had already
+// superseded and cleaned up, so it backs off; otherwise it removes the older
+// generations. advance reports the generation it judged and whether it won.
+func (b *FSBackend) advance(group, owner string, ttl time.Duration, accept func(rec leaseRecord, err error) bool) (uint64, bool, error) {
+	if err := CheckLeaseTTL(ttl); err != nil {
+		return 0, false, err
 	}
+	dir := b.leaseDir(group)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return 0, false, fmt.Errorf("sweep: create lease dir: %w", err)
+	}
+	gens, err := generations(dir)
+	if err != nil {
+		return 0, false, err
+	}
+	gen, rec, rerr := uint64(0), leaseRecord{}, error(os.ErrNotExist)
+	if len(gens) > 0 {
+		gen = gens[len(gens)-1]
+		rec, rerr = readLease(genPath(dir, gen))
+	}
+	if !accept(rec, rerr) {
+		return gen, false, nil
+	}
+	next := genPath(dir, gen+1)
+	won, err := b.create(next, leaseRecord{Owner: owner, Group: group, Expires: b.now().Add(ttl).UnixNano()})
+	if !won || err != nil {
+		return gen, false, err
+	}
+	if gens, err = generations(dir); err != nil {
+		return gen, false, err
+	}
+	if len(gens) == 0 || gens[len(gens)-1] != gen+1 {
+		_ = os.Remove(next)
+		return gen, false, nil
+	}
+	for _, old := range gens[:len(gens)-1] {
+		_ = os.Remove(genPath(dir, old))
+	}
+	return gen, true, nil
+}
+
+// create publishes a complete lease record at path by exclusive create: the
+// body is written to a private temp file and hard-linked into place. Linking
+// is atomic and fails when path exists, so exactly one contender creates a
+// generation AND a visible generation is always complete — a
+// create-then-write sequence would let a peer read the empty file mid-claim,
+// judge it corrupt, and reclaim a lease that was being taken. create reports
+// false when path exists or its directory is gone (a concurrent release).
+func (b *FSBackend) create(path string, rec leaseRecord) (bool, error) {
 	body, _ := json.Marshal(rec)
-	return append(body, '\n')
-}
-
-// renew extends the lease expiry by atomically replacing the lease file
-// (write-to-temp + rename, so readers never see a torn lease). If the file
-// meanwhile belongs to another owner — this worker stalled past its TTL and a
-// peer reclaimed the group — renew backs off and reports false; the worker
-// keeps running, which at worst duplicates the group's cells with
-// bit-identical records.
-func (l *lease) renew() (bool, error) {
-	if err := CheckLeaseTTL(l.m.ttl); err != nil {
-		return false, err
+	f, err := os.CreateTemp(filepath.Join(b.dir, leasesDir), "tmp-*")
+	if err != nil {
+		return false, fmt.Errorf("sweep: write lease: %w", err)
 	}
-	if rec, err := readLease(l.path); err == nil && rec.Owner != l.m.owner {
+	defer os.Remove(f.Name())
+	_, err = f.Write(append(body, '\n'))
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return false, fmt.Errorf("sweep: write lease: %w", err)
+	}
+	err = os.Link(f.Name(), path)
+	if errors.Is(err, os.ErrExist) || errors.Is(err, os.ErrNotExist) {
 		return false, nil
 	}
-	tmp := fmt.Sprintf("%s.renew.%016x", l.path, shardHash(l.m.owner))
-	if err := os.WriteFile(tmp, l.body(), 0o644); err != nil {
-		return false, fmt.Errorf("sweep: renew lease: %w", err)
-	}
-	if err := os.Rename(tmp, l.path); err != nil {
-		return false, fmt.Errorf("sweep: renew lease: %w", err)
+	if err != nil {
+		return false, fmt.Errorf("sweep: publish lease: %w", err)
 	}
 	return true, nil
-}
-
-// release removes the lease file (only if still ours).
-func (l *lease) release() {
-	if rec, err := readLease(l.path); err == nil && rec.Owner != l.m.owner {
-		return
-	}
-	_ = os.Remove(l.path)
 }
 
 // heartbeatLoop runs renew every interval until it reports false (the lease
@@ -358,60 +322,4 @@ func readLease(path string) (leaseRecord, error) {
 		return rec, errors.New("sweep: lease without owner")
 	}
 	return rec, nil
-}
-
-// claimer arbitrates cell-group claims for one worker through the store's
-// coordination backend — lease files for FSBackend, gatherd's lease table for
-// the network backend. It is the transport-independent face the claim loop
-// uses, and the one place the worker-side lease telemetry counts.
-type claimer struct {
-	b     Backend
-	owner string
-	ttl   time.Duration
-}
-
-func newClaimer(b Backend, sh Shard) *claimer {
-	return &claimer{b: b, owner: sh.Owner, ttl: sh.TTL}
-}
-
-// claim tries to take the lease on a cell group. It returns (nil, false)
-// when another worker holds a fresh lease; otherwise the claimed lease and
-// whether it was reclaimed from a stale/corrupt/abandoned predecessor.
-func (c *claimer) claim(group string) (*claimed, bool, error) {
-	status, err := c.b.TryClaim(group, c.owner, c.ttl)
-	if err != nil {
-		return nil, false, err
-	}
-	switch status {
-	case LeaseWon:
-		obsLeaseClaims.Inc()
-		return &claimed{c: c, group: group}, false, nil
-	case LeaseReclaimed:
-		obsLeaseClaims.Inc()
-		obsLeaseReclaims.Inc()
-		return &claimed{c: c, group: group}, true, nil
-	default:
-		return nil, false, nil
-	}
-}
-
-// claimed is one lease held through a claimer.
-type claimed struct {
-	c     *claimer
-	group string
-}
-
-// renew extends the lease, backing off (false) when a peer meanwhile
-// reclaimed the group.
-func (l *claimed) renew() (bool, error) {
-	ok, err := l.c.b.RenewLease(l.group, l.c.owner, l.c.ttl)
-	if err == nil && ok {
-		obsLeaseRenewals.Inc()
-	}
-	return ok, err
-}
-
-// release drops the lease (only if still ours).
-func (l *claimed) release() {
-	_ = l.c.b.ReleaseLease(l.group, l.c.owner)
 }

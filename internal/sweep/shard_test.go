@@ -16,27 +16,45 @@ func fastShard(owner string) Shard {
 	return Shard{Owner: owner, TTL: 5 * time.Second, Poll: 10 * time.Millisecond}
 }
 
-// newLeaseManager is one worker's lease-file manager over a sweep
-// directory, built like FSBackend.managerFor but on the wall clock.
-func newLeaseManager(sweepDir string, sh Shard) *leaseManager {
-	b := newReadOnlyFSBackend(sweepDir)
-	return b.managerFor(sh.Owner, sh.TTL)
-}
-
 // writeStaleLease plants an expired lease for a cell group, as a worker
 // killed mid-group would leave behind.
-func writeStaleLease(t *testing.T, dir string, cell engine.Cell, owner string) string {
+func writeStaleLease(t *testing.T, dir string, cell engine.Cell, owner string) {
 	t.Helper()
-	m := newLeaseManager(dir, Shard{Owner: owner, TTL: time.Minute})
-	m.now = func() time.Time { return time.Now().Add(-2 * time.Minute) }
-	l, reclaimed, err := m.claim(GroupKey(cell))
-	if err != nil || l == nil {
-		t.Fatalf("planting stale lease: %v (lease %v)", err, l)
+	b := newReadOnlyFSBackend(dir)
+	b.now = func() time.Time { return time.Now().Add(-2 * time.Minute) }
+	st, err := b.TryClaim(GroupKey(cell), owner, time.Minute)
+	if err != nil || st == LeaseHeld {
+		t.Fatalf("planting stale lease: (%v, %v)", st, err)
 	}
-	if reclaimed {
+	if st == LeaseReclaimed {
 		t.Fatal("planting stale lease reclaimed an existing one")
 	}
-	return l.path
+}
+
+// writeNewestLease writes blob as a cell group's newest lease generation, as
+// a torn, foreign or skewed writer would leave it.
+func writeNewestLease(t *testing.T, b *FSBackend, group string, blob []byte) {
+	t.Helper()
+	dir := b.leaseDir(group)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(genPath(dir, 1), blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// newestLease reads a cell group's newest lease generation.
+func newestLease(b *FSBackend, group string) (leaseRecord, error) {
+	dir := b.leaseDir(group)
+	gens, err := generations(dir)
+	if err != nil {
+		return leaseRecord{}, err
+	}
+	if len(gens) == 0 {
+		return leaseRecord{}, os.ErrNotExist
+	}
+	return readLease(genPath(dir, gens[len(gens)-1]))
 }
 
 // TestRunShardedReclaimsStaleLease simulates a worker killed mid-sweep: the
@@ -83,8 +101,8 @@ func TestRunShardedReclaimsStaleLease(t *testing.T) {
 	}
 }
 
-// TestLeaseContention pins the O_EXCL claim: many workers racing for the same
-// cell group yield exactly one holder.
+// TestLeaseContention pins the exclusive create: many workers racing for
+// the same cell group yield exactly one holder.
 func TestLeaseContention(t *testing.T) {
 	dir := t.TempDir()
 	const workers = 8
@@ -95,16 +113,16 @@ func TestLeaseContention(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			m := newLeaseManager(dir, Shard{Owner: fmt.Sprintf("w%d", w), TTL: time.Minute})
-			l, reclaimed, err := m.claim("contested-group")
+			b := newReadOnlyFSBackend(dir)
+			st, err := b.TryClaim("contested-group", fmt.Sprintf("w%d", w), time.Minute)
 			if err != nil {
 				t.Errorf("worker %d: %v", w, err)
 				return
 			}
-			if reclaimed {
+			if st == LeaseReclaimed {
 				t.Errorf("worker %d reclaimed a lease that was never stale", w)
 			}
-			if l != nil {
+			if st != LeaseHeld {
 				mu.Lock()
 				won++
 				mu.Unlock()
@@ -124,22 +142,21 @@ func TestLeaseContention(t *testing.T) {
 func TestLeaseHeartbeatKeepsLeaseFresh(t *testing.T) {
 	dir := t.TempDir()
 	const ttl = 300 * time.Millisecond
-	holder := newLeaseManager(dir, Shard{Owner: "holder", TTL: ttl})
-	l, _, err := holder.claim("hb-group")
-	if err != nil || l == nil {
-		t.Fatalf("claim failed: %v", err)
+	holder := newReadOnlyFSBackend(dir)
+	if st, err := holder.TryClaim("hb-group", "holder", ttl); err != nil || st == LeaseHeld {
+		t.Fatalf("claim failed: (%v, %v)", st, err)
 	}
-	stop := heartbeatLoop(ttl/6, l.renew)
+	stop := heartbeatLoop(ttl/6, func() (bool, error) { return holder.RenewLease("hb-group", "holder", ttl) })
 
-	rival := newLeaseManager(dir, Shard{Owner: "rival", TTL: ttl})
+	rival := newReadOnlyFSBackend(dir)
 	deadline := time.Now().Add(4 * ttl) // far beyond the unrenewed expiry
 	for time.Now().Before(deadline) {
-		got, reclaimed, err := rival.claim("hb-group")
+		st, err := rival.TryClaim("hb-group", "rival", ttl)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != nil {
-			t.Fatalf("rival claimed a heartbeating lease (reclaimed=%v)", reclaimed)
+		if st != LeaseHeld {
+			t.Fatalf("rival claimed a heartbeating lease (status %v)", st)
 		}
 		time.Sleep(ttl / 10)
 	}
@@ -147,32 +164,26 @@ func TestLeaseHeartbeatKeepsLeaseFresh(t *testing.T) {
 
 	// Without renewals the lease expires and the rival takes it over.
 	time.Sleep(ttl + ttl/2)
-	got, reclaimed, err := rival.claim("hb-group")
+	st, err := rival.TryClaim("hb-group", "rival", ttl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got == nil || !reclaimed {
-		t.Fatalf("rival did not reclaim the expired lease (lease %v, reclaimed %v)", got, reclaimed)
+	if st != LeaseReclaimed {
+		t.Fatalf("rival did not reclaim the expired lease (status %v)", st)
 	}
 }
 
 // TestLeaseCorruptFileIsReclaimed treats a torn lease file (a worker killed
 // mid-write) as stale.
 func TestLeaseCorruptFileIsReclaimed(t *testing.T) {
-	dir := t.TempDir()
-	m := newLeaseManager(dir, Shard{Owner: "w", TTL: time.Minute})
-	if err := os.MkdirAll(m.dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(m.pathFor("g"), []byte(`{"owner":"dead","exp`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	l, reclaimed, err := m.claim("g")
+	b := newReadOnlyFSBackend(t.TempDir())
+	writeNewestLease(t, b, "g", []byte(`{"owner":"dead","exp`))
+	st, err := b.TryClaim("g", "w", time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l == nil || !reclaimed {
-		t.Fatalf("corrupt lease not reclaimed (lease %v, reclaimed %v)", l, reclaimed)
+	if st != LeaseReclaimed {
+		t.Fatalf("corrupt lease not reclaimed (status %v)", st)
 	}
 }
 
@@ -211,47 +222,49 @@ func TestRunShardedStaticWithStoreMerges(t *testing.T) {
 }
 
 // TestLeaseReclaimContention pins the atomic take-over: many workers racing
-// to reclaim the same stale lease yield exactly one new holder — a
-// remove+recreate reclaim would let a slow racer delete the winner's fresh
-// lease and produce two holders.
+// to reclaim the same stale lease yield exactly one new holder — every racer
+// publishes the same next generation by exclusive create, so one wins.
 func TestLeaseReclaimContention(t *testing.T) {
+	group := GroupKey(engine.Cell{Workload: "clustered", N: 3})
 	for round := 0; round < 20; round++ {
 		dir := t.TempDir()
 		writeStaleLease(t, dir, engine.Cell{Workload: "clustered", N: 3}, "dead")
 
 		const workers = 4
-		winners := make([]*lease, workers)
+		winners := make([]string, workers)
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				m := newLeaseManager(dir, Shard{Owner: fmt.Sprintf("w%d", w), TTL: time.Minute})
-				l, _, err := m.claim(GroupKey(engine.Cell{Workload: "clustered", N: 3}))
+				owner := fmt.Sprintf("w%d", w)
+				st, err := newReadOnlyFSBackend(dir).TryClaim(group, owner, time.Minute)
 				if err != nil {
 					t.Errorf("worker %d: %v", w, err)
 					return
 				}
-				winners[w] = l
+				if st != LeaseHeld {
+					winners[w] = owner
+				}
 			}(w)
 		}
 		wg.Wait()
-		var won []*lease
-		for _, l := range winners {
-			if l != nil {
-				won = append(won, l)
+		var won []string
+		for _, owner := range winners {
+			if owner != "" {
+				won = append(won, owner)
 			}
 		}
 		if len(won) != 1 {
 			t.Fatalf("round %d: %d workers hold the reclaimed lease, want exactly 1", round, len(won))
 		}
 		// The lease on disk belongs to the winner.
-		rec, err := readLease(won[0].path)
+		rec, err := newestLease(newReadOnlyFSBackend(dir), group)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		if rec.Owner != won[0].m.owner {
-			t.Fatalf("round %d: lease on disk owned by %q, winner is %q", round, rec.Owner, won[0].m.owner)
+		if rec.Owner != won[0] {
+			t.Fatalf("round %d: lease on disk owned by %q, winner is %q", round, rec.Owner, won[0])
 		}
 	}
 }
