@@ -34,11 +34,11 @@
 //	gatherbench -only E5 -shards 2 -shard-id 0   # static split, no shared dir
 //
 // Adaptive sharding: -adaptive-ci composes with -shard-owner. The fleet
-// coordinates the data-dependent seed grid through the shared store plus
-// per-group adaptive-state records (seeds consumed, CI half-width,
-// open/closed) published next to the leases: any worker can pick up a group,
-// run its next seed block, and re-evaluate the confidence interval against
-// the merged cross-worker history. The trajectory is deterministic given the
+// coordinates the data-dependent seed grid through the shared store alone:
+// any worker can pick up a group, run its next seed block, and re-evaluate
+// the confidence interval against the merged cross-worker history, and
+// -http shows a worker's open groups (seeds consumed, CI half-width) on
+// /progress. The trajectory is deterministic given the
 // stored results, so every worker converges on the same per-group seed
 // counts and prints tables byte-identical to a single adaptive process. With
 // -shards, -steal lets a worker that drained its static share take over

@@ -253,9 +253,9 @@ func readStoreKeys(t *testing.T, path string) []string {
 
 // TestRunAdaptiveComposesWithShardOwner drives -adaptive-ci and -shard-owner
 // in one run: a solo cooperative worker walks the cross-worker adaptive
-// protocol end to end (leases, shared store, adaptive-state records) and must
-// print byte-identical tables to a plain single-process adaptive run, with no
-// seed replica executed (checkpointed) twice.
+// protocol end to end (leases, shared store) and must print byte-identical
+// tables to a plain single-process adaptive run, with no seed replica
+// executed (checkpointed) twice.
 func TestRunAdaptiveComposesWithShardOwner(t *testing.T) {
 	adaptive := []string{"-only", "E5", "-seeds", "2", "-max-events", "1200",
 		"-adaptive-ci", "0.000001", "-adaptive-max-seeds", "3"}

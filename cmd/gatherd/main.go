@@ -6,8 +6,8 @@
 //
 // Workers connect with gatherbench -coordinator http://host:9340; each
 // experiment gets its own named store on the coordinator. The record log is
-// the only ground truth: leases expire by design and adaptive state is
-// recomputable, so killing and restarting gatherd mid-sweep costs at most
+// the only ground truth (workers recompute adaptive state from it): leases
+// expire by design, so killing and restarting gatherd mid-sweep costs at most
 // duplicated (bit-identical) work — workers retry with backoff and re-append.
 // With -dir, record logs persist across restarts in the same
 // <dir>/<store>/results.jsonl layout a filesystem sweep uses, so gatherbench

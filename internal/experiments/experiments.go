@@ -117,8 +117,8 @@ type Config struct {
 	// resume), and every worker renders the complete, byte-identical tables
 	// once the fleet drains the sweep. Composes with AdaptiveCI: the fleet
 	// then coordinates the data-dependent adaptive grid through the shared
-	// store and per-group adaptive-state records, converging on the same
-	// per-group seed counts (and tables) as a single-process adaptive run.
+	// store alone, converging on the same per-group seed counts (and tables)
+	// as a single-process adaptive run.
 	ShardOwner string
 	// LeaseTTL is the lease expiry in cooperative mode (default
 	// sweep.DefaultLeaseTTL). It requires ShardOwner and may not exceed

@@ -324,7 +324,7 @@ func TestAdaptiveShardedMatchesUnshardedAdaptive(t *testing.T) {
 	}
 
 	// A late joiner over the drained store recomputes the trajectory from
-	// the records (and the published adaptive-state) without running cells.
+	// the records without running cells.
 	path := filepath.Join(shardCfg.SweepDir, "E14", "results.jsonl")
 	before, err := os.ReadFile(path)
 	if err != nil {

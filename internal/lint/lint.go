@@ -237,8 +237,8 @@ func isPkgLevelFunc(fn *types.Func, pkgPath, name string) bool {
 }
 
 // enclosingFuncName returns the name of the function declaration containing
-// pos ("" at file scope). Method names are reported bare ("publish", not
-// "(*adaptivePublisher).publish"), which is what the per-function allowlists
+// pos ("" at file scope). Method names are reported bare ("create", not
+// "(*FSBackend).create"), which is what the per-function allowlists
 // key on; function literals keep their enclosing declaration's name, so an
 // allowlist entry covers a helper including its closures.
 func enclosingFuncName(file *ast.File, pos token.Pos) string {

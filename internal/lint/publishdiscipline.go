@@ -9,10 +9,10 @@ import (
 // PublishDiscipline flags direct os.Rename/os.Link/os.WriteFile calls in the
 // sweep package outside the blessed atomic-publish helpers.
 //
-// Everything a sweep worker makes visible to its peers — lease files,
-// adaptive-state records, compacted stores — must appear atomically and
-// complete, or a concurrent reader can observe a torn file, judge it corrupt
-// and re-run (or worse, reclaim) work. The repo's discipline is write-to-
+// Everything a sweep worker makes visible to its peers — lease generations
+// and compacted stores — must appear atomically and complete, or a
+// concurrent reader can observe a torn file, judge it corrupt and re-run (or
+// worse, reclaim) work. The repo's discipline is write-to-
 // private-temp then hard-link (first publication; fails EEXIST so exactly one
 // contender wins) or rename (replacement), and it lives in a small set of
 // audited helpers. Any new os-level publish call belongs inside one of them,
@@ -27,11 +27,10 @@ var PublishDiscipline = &analysis.Analyzer{
 var publishPackages = []string{"internal/sweep"}
 
 // publishAllowlist names the audited publish helpers: Store.rewrite
-// (compaction), adaptivePublisher.publish (adaptive-state records) and
-// FSBackend.create (the exclusive create behind every lease generation).
+// (compaction) and FSBackend.create (the exclusive create behind every lease
+// generation).
 var publishAllowlist = map[string]bool{
 	"rewrite": true,
-	"publish": true,
 	"create":  true,
 }
 
@@ -60,7 +59,7 @@ func runPublishDiscipline(pass *analysis.Pass) error {
 				return true
 			}
 			pass.Reportf(call.Pos(),
-				"direct os.%s in internal/sweep: peers may observe a torn file; publish through the temp+link/rename helpers (FSBackend.create, adaptivePublisher.publish, Store.rewrite)", fn.Name())
+				"direct os.%s in internal/sweep: peers may observe a torn file; publish through the temp+link/rename helpers (FSBackend.create, Store.rewrite)", fn.Name())
 			return true
 		})
 	}

@@ -32,9 +32,14 @@ func serveMetrics(w http.ResponseWriter, _ *http.Request) {
 	Default.WritePrometheus(w)
 }
 
+// serveProgress encodes the whole document before writing, so an encoding
+// failure is a 500 rather than a 200 with an empty body.
 func serveProgress(w http.ResponseWriter, _ *http.Request) {
+	body, err := json.MarshalIndent(ProgressSnapshot(), "", "  ")
+	if err != nil {
+		http.Error(w, "obs: encode /progress: "+err.Error(), http.StatusInternalServerError)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(ProgressSnapshot())
+	_, _ = w.Write(append(body, '\n'))
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"math"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -67,12 +68,14 @@ func TestProgressEndpointLiveSweep(t *testing.T) {
 	SweepCells(10, 3)
 	SweepAdaptive("g-open", 6, 0.08, false)
 	SweepAdaptive("g-closed", 9, 0.04, true)
+	// Fewer than two successful replicas: the half-width is infinite.
+	SweepAdaptive("g-inf", 1, math.Inf(1), false)
 
 	rec := httptest.NewRecorder()
 	Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/progress", nil))
 	var st ProgressState
 	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
-		t.Fatalf("/progress not JSON: %v", err)
+		t.Fatalf("/progress not JSON: %v (status %d, body %q)", err, rec.Code, rec.Body.String())
 	}
 	if !st.Active || st.Sweep == nil {
 		t.Fatalf("expected active sweep, got %+v", st)
@@ -87,8 +90,22 @@ func TestProgressEndpointLiveSweep(t *testing.T) {
 	if s.CellsExecuted != 10 || s.CellsRestored != 3 {
 		t.Fatalf("cell counters wrong: %+v", s)
 	}
-	if len(s.OpenGroups) != 1 || s.OpenGroups[0].Group != "g-open" || s.OpenGroups[0].Seeds != 6 {
+	want := []AdaptiveGroupState{
+		{Group: "g-inf", Seeds: 1, HalfWidth: math.Inf(1)},
+		{Group: "g-open", Seeds: 6, HalfWidth: 0.08},
+	}
+	if len(s.OpenGroups) != len(want) {
 		t.Fatalf("open groups wrong: %+v", s.OpenGroups)
+	}
+	for i, g := range s.OpenGroups {
+		if g.Group != want[i].Group || g.Seeds != want[i].Seeds || g.HalfWidth != want[i].HalfWidth {
+			t.Fatalf("open group %d = %+v, want %+v", i, g, want[i])
+		}
+	}
+	for _, hw := range []string{`"half_width": "+Inf"`, `"half_width": "0.08"`} {
+		if !strings.Contains(rec.Body.String(), hw) {
+			t.Fatalf("/progress lacks %s:\n%s", hw, rec.Body.String())
+		}
 	}
 }
 

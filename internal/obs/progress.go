@@ -1,7 +1,10 @@
 package obs
 
 import (
+	"encoding/json"
+	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 )
 
@@ -43,11 +46,40 @@ type SweepState struct {
 	openByKey map[string]AdaptiveGroupState
 }
 
-// AdaptiveGroupState is the live adaptive-stopping state of one group.
+// AdaptiveGroupState is the live adaptive-stopping state of one group. Its
+// JSON form renders HalfWidth as a string ("0.08", "+Inf"), like a histogram
+// bucket's le: a group with fewer than two successful replicas has an
+// infinite half-width, and JSON has no literal for it.
 type AdaptiveGroupState struct {
-	Group     string  `json:"group"`
-	Seeds     int     `json:"seeds"`
-	HalfWidth float64 `json:"half_width"`
+	Group     string
+	Seeds     int
+	HalfWidth float64
+}
+
+// adaptiveGroupJSON is the wire form of AdaptiveGroupState.
+type adaptiveGroupJSON struct {
+	Group     string `json:"group"`
+	Seeds     int    `json:"seeds"`
+	HalfWidth string `json:"half_width"`
+}
+
+// MarshalJSON renders the half-width as a string (see AdaptiveGroupState).
+func (a AdaptiveGroupState) MarshalJSON() ([]byte, error) {
+	return json.Marshal(adaptiveGroupJSON{Group: a.Group, Seeds: a.Seeds, HalfWidth: formatFloat(a.HalfWidth)})
+}
+
+// UnmarshalJSON parses the string half-width MarshalJSON writes.
+func (a *AdaptiveGroupState) UnmarshalJSON(data []byte) error {
+	var w adaptiveGroupJSON
+	if err := json.Unmarshal(data, &w); err != nil {
+		return err
+	}
+	hw, err := strconv.ParseFloat(w.HalfWidth, 64)
+	if err != nil {
+		return fmt.Errorf("obs: half_width: %w", err)
+	}
+	*a = AdaptiveGroupState{Group: w.Group, Seeds: w.Seeds, HalfWidth: hw}
+	return nil
 }
 
 // SweepSummary is the terse record kept for a finished sweep.

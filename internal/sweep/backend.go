@@ -48,19 +48,19 @@ func CheckLeaseTTL(ttl time.Duration) error {
 }
 
 // Backend is the coordination medium of a sweep: everything the resumable and
-// sharded runners need from shared state — the append-only record log, the
-// cell-group lease table, and the adaptive-state records — behind one
-// transport-agnostic interface. FSBackend implements it over a shared
-// filesystem (the original temp-file + hard-link protocol); netbackend.Client
-// implements it over the gatherd HTTP coordinator. The conformance suite in
-// internal/sweep/backendtest pins the semantics every implementation must
-// share, so tables stay byte-identical across transports and fleet sizes.
+// sharded runners need from shared state — the append-only record log and
+// the cell-group lease table — behind one transport-agnostic interface.
+// FSBackend implements it over a shared filesystem (the original temp-file +
+// hard-link protocol); netbackend.Client implements it over the gatherd HTTP
+// coordinator. The conformance suite in internal/sweep/backendtest pins the
+// semantics every implementation must share, so tables stay byte-identical
+// across transports and fleet sizes.
 //
 // Record methods move opaque JSONL bytes: all parsing, schema gating and
-// corruption handling stays in Store, above the transport. Lease and state
-// methods likewise carry opaque group keys and bodies; arbitration semantics
-// (one winner per group, stale/corrupt reclaim, foreign-owner backoff) are
-// part of this contract.
+// corruption handling stays in Store, above the transport. Lease methods
+// likewise carry opaque group keys; arbitration semantics (one winner per
+// group, stale/corrupt reclaim, foreign-owner backoff) are part of this
+// contract.
 type Backend interface {
 	// ReadRecords returns the record-log bytes from offset off to the current
 	// end, together with the offset the returned data actually starts at:
@@ -93,15 +93,6 @@ type Backend interface {
 	// someone else is left untouched.
 	ReleaseLease(group, owner string) error
 
-	// PublishState atomically replaces the adaptive-state record of a cell
-	// group. The body is opaque to the transport; owner only disambiguates
-	// concurrent publishers (the FS backend keys its temp files by it).
-	PublishState(group, owner string, body []byte) error
-	// LoadState returns a group's adaptive-state record, reporting ok ==
-	// false when none is published. Missing, torn or stale records are never
-	// errors — readers recompute from the record log.
-	LoadState(group string) (body []byte, ok bool, err error)
-
 	// String describes the backend's location (a file path, a coordinator
 	// URL) for warnings and logs.
 	String() string
@@ -109,16 +100,15 @@ type Backend interface {
 	Close() error
 }
 
-// FSBackend is the shared-filesystem Backend: the JSONL record file, lease
-// files and adaptive-state records of one sweep directory, published with the
-// temp-file + hard-link/rename discipline that gives every operation exactly
-// one winner on a POSIX filesystem (including NFS). It is the default backend
+// FSBackend is the shared-filesystem Backend: the JSONL record file and lease
+// files of one sweep directory, published with the temp-file +
+// hard-link/rename discipline that gives every operation exactly one winner
+// on a POSIX filesystem (including NFS). It is the default backend
 // behind Open/OpenShared and the reference implementation the backendtest
 // conformance suite measures other transports against.
 type FSBackend struct {
 	dir  string
 	path string // <dir>/results.jsonl
-	st   fsStateDir
 	// now is the lease clock, injectable for tests (the determinism contract
 	// keeps wall-clock reads out of result paths; lease arbitration only
 	// affects who does work, never what comes out).
@@ -150,7 +140,6 @@ func newReadOnlyFSBackend(dir string) *FSBackend {
 	return &FSBackend{
 		dir:  dir,
 		path: filepath.Join(dir, resultsFile),
-		st:   fsStateDir{dir: filepath.Join(dir, adaptiveDir)},
 		now:  time.Now,
 	}
 }
@@ -281,17 +270,6 @@ func (b *FSBackend) ReleaseLease(group, owner string) error {
 	}
 	_ = os.Remove(dir)
 	return nil
-}
-
-// PublishState atomically publishes a group's adaptive-state record.
-func (b *FSBackend) PublishState(group, owner string, body []byte) error {
-	return b.st.publish(group, owner, body)
-}
-
-// LoadState reads a group's adaptive-state record; missing or unreadable
-// records report ok == false (the reader recomputes from the record log).
-func (b *FSBackend) LoadState(group string) ([]byte, bool, error) {
-	return b.st.LoadState(group)
 }
 
 // Close releases the append handle. Reads keep working.

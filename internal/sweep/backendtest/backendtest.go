@@ -1,10 +1,10 @@
 // Package backendtest is the conformance suite for sweep.Backend
 // implementations: one exported harness (Run) that pins the coordination
 // semantics the sharded runners rely on — append-then-reload round trips,
-// claim/renew/expire/reclaim/release ordering, adaptive-state publication
-// with corruption-ignore, and byte-identical two-worker tables — so that the
-// filesystem backend, the gatherd network backend, and any future transport
-// (object-store CAS) all prove the same contract with the same tests.
+// claim/renew/expire/reclaim/release ordering, and byte-identical two-worker
+// tables, fixed-grid and adaptive — so that the filesystem backend, the
+// gatherd network backend, and any future transport (object-store CAS) all
+// prove the same contract with the same tests.
 //
 // A backend under test is described by a Factory: called once per subtest, it
 // returns a connector that opens one more worker's view onto the same fresh
@@ -37,7 +37,6 @@ func Run(t *testing.T, factory Factory) {
 	t.Run("LeaseExpiry", func(t *testing.T) { testLeaseExpiry(t, factory(t)) })
 	t.Run("LeaseReclaimContention", func(t *testing.T) { testLeaseReclaimContention(t, factory(t)) })
 	t.Run("LeaseTTLValidation", func(t *testing.T) { testLeaseTTLValidation(t, factory(t)) })
-	t.Run("AdaptiveState", func(t *testing.T) { testAdaptiveState(t, factory(t)) })
 	t.Run("TwoWorkerByteIdentical", func(t *testing.T) { testTwoWorkerByteIdentical(t, factory(t)) })
 	t.Run("TwoWorkerAdaptiveByteIdentical", func(t *testing.T) { testTwoWorkerAdaptive(t, factory(t)) })
 }
@@ -53,13 +52,6 @@ func Cells(seeds int) []engine.Cell {
 		Seeds:       seeds,
 		MaxEvents:   400,
 	}.Cells()
-}
-
-// groupKey reproduces the sharded runners' seedless group identity.
-func groupKey(c engine.Cell) string {
-	c.WorkloadSeed = 0
-	c.AdversarySeed = 0
-	return c.Key()
 }
 
 // SameResult compares two cell results with the fidelity the resume contract
@@ -303,40 +295,6 @@ func testLeaseTTLValidation(t *testing.T, connect func() sweep.Backend) {
 	}
 }
 
-// testAdaptiveState pins the adaptive-state publication contract: opaque
-// bodies, atomic replacement, absence reported as ok=false.
-func testAdaptiveState(t *testing.T, connect func() sweep.Backend) {
-	b1, b2 := connect(), connect()
-	defer func() { _ = b1.Close() }()
-	defer func() { _ = b2.Close() }()
-	const g = "group-state"
-	if _, ok, err := b1.LoadState(g); err != nil || ok {
-		t.Fatalf("LoadState on fresh medium = (ok=%v, %v), want (false, nil)", ok, err)
-	}
-	first := []byte(`{"version":1,"group":"group-state","seeds":2}` + "\n")
-	if err := b1.PublishState(g, "w1", first); err != nil {
-		t.Fatalf("publish: %v", err)
-	}
-	got, ok, err := b2.LoadState(g)
-	if err != nil || !ok {
-		t.Fatalf("LoadState after publish = (ok=%v, %v)", ok, err)
-	}
-	if string(got) != string(first) {
-		t.Fatalf("state round trip: got %q want %q", got, first)
-	}
-	second := []byte(`{"version":1,"group":"group-state","seeds":5}` + "\n")
-	if err := b2.PublishState(g, "w2", second); err != nil {
-		t.Fatalf("republish: %v", err)
-	}
-	if got, _, _ := b1.LoadState(g); string(got) != string(second) {
-		t.Fatalf("republish did not replace: got %q want %q", got, second)
-	}
-	// Other groups stay independent.
-	if _, ok, _ := b1.LoadState("group-other"); ok {
-		t.Fatal("LoadState leaked state across groups")
-	}
-}
-
 // testTwoWorkerByteIdentical is the determinism acceptance test through the
 // backend under test: two workers drain one shared medium concurrently and
 // each must return the complete result set, bit-identical to a plain engine
@@ -384,20 +342,14 @@ func testTwoWorkerByteIdentical(t *testing.T, connect func() sweep.Backend) {
 }
 
 // testTwoWorkerAdaptive runs the cooperative adaptive protocol through the
-// backend under test, with a corrupt adaptive-state record pre-published for
-// one group: both workers must ignore it (recompute from the record log) and
-// return tables byte-identical to a single-process adaptive run.
+// backend under test: both workers must walk every group's trajectory from
+// the shared record log alone and return tables and per-group seed counts
+// byte-identical to a single-process adaptive run.
 func testTwoWorkerAdaptive(t *testing.T, connect func() sweep.Backend) {
 	cells := Cells(2)
 	ad := sweep.Adaptive{TargetCI: 1e-9, MaxSeeds: 3}
 	refRes, refStats := sweep.Run(cells, sweep.Options{Adaptive: ad})
 	refSeeds := refStats.Groups
-
-	vandal := connect()
-	if err := vandal.PublishState(groupKey(cells[0]), "vandal", []byte(`{"version":1,"gro`)); err != nil {
-		t.Fatalf("pre-publishing torn state: %v", err)
-	}
-	_ = vandal.Close()
 
 	const workers = 2
 	outs := make([][]engine.CellResult, workers)

@@ -14,9 +14,9 @@ import (
 // per-replica results (the stopping rule Adaptive.stopAt evaluated on seed
 // prefixes), so every worker that sees the same store history computes the
 // same progress. That recomputability is the convergence contract of the
-// claim loop: the store is the ground truth, and the published
-// adaptive-state records are observability artifacts for operators and
-// tests, never read back by the workers themselves.
+// claim loop: the store is the ground truth, and the live /progress view
+// (obs.SweepAdaptive) is a write-only report of it, never read back by the
+// workers themselves.
 type adaptiveProgress struct {
 	// results holds the completed replicas in trajectory order; when closed
 	// it is the group's full replica set.
@@ -185,8 +185,8 @@ func assemble(cells []engine.Cell, groups, of []*cellGroup, h history, ad Adapti
 // merged history, and repeats until the group closes. Groups closed by peers
 // are collected lease-free from the store, and the loop polls until every
 // group is closed, reclaiming expired leases on the way. Adaptive groups
-// publish adaptive-state records (seeds consumed, CI half-width,
-// open/closed) next to the leases.
+// report their live progress (seeds consumed, CI half-width, open/closed)
+// to /progress.
 //
 // Every worker returns the complete result set in the round loop's order
 // (assemble), byte-identical for any fleet size, with no replica executed
@@ -200,22 +200,12 @@ func runClaims(cells []engine.Cell, opts Options) ([]engine.CellResult, Stats) {
 	obs.SweepGroups(len(groups))
 
 	b := store.Backend()
-	pub := &adaptivePublisher{sink: b, owner: sh.Owner}
-	// publish records a group's progress: an adaptive-state record plus the
-	// live /progress entry. Fixed grids have no adaptive state to publish.
-	publish := func(g *cellGroup, pr adaptiveProgress) {
-		if !adaptive {
-			return
+	// report sends a group's progress to /progress. Fixed grids have no
+	// adaptive state to report.
+	report := func(g *cellGroup, pr adaptiveProgress) {
+		if adaptive {
+			obs.SweepAdaptive(g.key, pr.seeds, pr.halfWidth, pr.closed)
 		}
-		_ = pub.publish(adaptiveState{
-			Version:   AdaptiveStateVersion,
-			Engine:    engine.Version,
-			Group:     g.key,
-			Seeds:     pr.seeds,
-			HalfWidth: pr.halfWidth,
-			Closed:    pr.closed,
-		})
-		obs.SweepAdaptive(g.key, pr.seeds, pr.halfWidth, pr.closed)
 	}
 
 	var stats Stats
@@ -272,7 +262,7 @@ func runClaims(cells []engine.Cell, opts Options) ([]engine.CellResult, Stats) {
 				})
 			}
 			for !pr.closed {
-				publish(g, pr)
+				report(g, pr)
 				res, st := execute(pr.pending, opts)
 				stats.Executed += st.Executed
 				stats.AppendErrs += st.AppendErrs
@@ -293,7 +283,7 @@ func runClaims(cells []engine.Cell, opts Options) ([]engine.CellResult, Stats) {
 		// between our store scan and the claim) counts as skipped, not
 		// claimed: no replica of it ran here.
 		finish(g)
-		publish(g, pr)
+		report(g, pr)
 		if leased {
 			_ = b.ReleaseLease(g.key, sh.Owner)
 		}

@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -73,41 +72,6 @@ func sameAdaptiveRun(t *testing.T, label string, gotRes, wantRes []engine.CellRe
 	}
 }
 
-// testPublisher reads and writes adaptive-state records of a sweep directory
-// through the FS backend, as the claim loop does.
-func testPublisher(t *testing.T, dir, owner string) *adaptivePublisher {
-	t.Helper()
-	b, err := NewFSBackend(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { b.Close() })
-	return &adaptivePublisher{sink: b, owner: owner}
-}
-
-// read returns the published state of a cell group. ok is false when the
-// record is missing, torn, unparseable, from another layout or engine
-// version, or names a different group (a hash collision): all of those mean
-// "recompute from the store".
-func (p *adaptivePublisher) read(groupKey string, engineVersion string) (adaptiveState, bool) {
-	data, ok, err := p.sink.LoadState(groupKey)
-	if err != nil || !ok {
-		return adaptiveState{}, false
-	}
-	var wire adaptiveStateJSON
-	if err := json.Unmarshal(data, &wire); err != nil {
-		return adaptiveState{}, false
-	}
-	st := wire.adaptiveState
-	if _, err := fmt.Sscanf(wire.HalfWidthStr, "%g", &st.HalfWidth); err != nil {
-		return adaptiveState{}, false
-	}
-	if st.Version != AdaptiveStateVersion || st.Engine != engineVersion || st.Group != groupKey {
-		return adaptiveState{}, false
-	}
-	return st, true
-}
-
 // TestRunShardedTwoConcurrentWorkers is the acceptance test for cooperative
 // sharding on a fixed grid; see twoConcurrentWorkers.
 func TestRunShardedTwoConcurrentWorkers(t *testing.T) {
@@ -124,8 +88,8 @@ func TestRunAdaptiveShardedTwoConcurrentWorkers(t *testing.T) {
 // through leases and the shared store, and each returns the complete result
 // set — same cells, same per-group seed counts, bit-identical results, in
 // the exact order the solo run produces — while no replica is executed
-// twice fleet-wide. Adaptive groups end with closed state records; a fixed
-// grid publishes none.
+// twice fleet-wide. The sweep directory ends holding the record log and an
+// empty lease directory, nothing else.
 func twoConcurrentWorkers(t *testing.T, m sweepMode) {
 	cells := m.cells()
 	wantRes, wantInfos := m.reference()
@@ -170,20 +134,16 @@ func twoConcurrentWorkers(t *testing.T, m sweepMode) {
 	if got := strings.Count(string(data), "\n"); got != len(wantRes) {
 		t.Fatalf("store holds %d records, want %d", got, len(wantRes))
 	}
-	if m.ad == (Adaptive{}) {
-		if _, err := os.Stat(filepath.Join(dir, adaptiveDir)); !os.IsNotExist(err) {
-			t.Fatalf("fixed-grid sweep published adaptive state (err=%v)", err)
-		}
+	top, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	pub := testPublisher(t, dir, "check")
-	for _, info := range wantInfos {
-		st, ok := pub.read(info.Key, engine.Version)
-		if !ok {
-			t.Fatalf("group %s: adaptive-state record missing or unreadable", info.Key)
-		}
-		if !st.Closed || st.Seeds != info.Seeds {
-			t.Fatalf("group %s: state record %+v, want closed with %d seeds", info.Key, st, info.Seeds)
-		}
+	var names []string
+	for _, e := range top {
+		names = append(names, e.Name())
+	}
+	if want := []string{leasesDir, resultsFile}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("sweep directory holds %v, want %v", names, want)
 	}
 	// All leases released.
 	entries, err := os.ReadDir(filepath.Join(dir, leasesDir))
@@ -197,11 +157,12 @@ func twoConcurrentWorkers(t *testing.T, m sweepMode) {
 
 // TestRunAdaptiveShardedKillMidAdaptive simulates a worker killed in the
 // middle of an adaptive sweep: the store holds a prefix of the trajectory, an
-// expired lease guards an unfinished group, and the dead worker's open
-// adaptive-state record is still published. A surviving worker must reclaim
-// the lease, re-evaluate the CI against the merged history, finish the
-// remaining seed blocks and produce results identical to an uninterrupted
-// single-process adaptive run.
+// expired lease guards an unfinished group, and the directory still holds
+// an open state record of the kind older versions published in adaptive/.
+// A surviving worker must reclaim the lease, re-evaluate the CI against the
+// merged history, finish the remaining seed blocks and produce results
+// identical to an uninterrupted single-process adaptive run, leaving the
+// legacy record unread and untouched.
 func TestRunAdaptiveShardedKillMidAdaptive(t *testing.T) {
 	cells := adaptiveShardCells()
 	ad := tightAdaptive()
@@ -222,13 +183,16 @@ func TestRunAdaptiveShardedKillMidAdaptive(t *testing.T) {
 	}
 	st.Close()
 	// ...died holding the lease on the last cell's group, with an open
-	// (non-closed) state record published for it.
+	// (non-closed) legacy state record for it.
 	victim := cells[len(cells)-1]
 	writeStaleLease(t, dir, victim, "dead-worker")
-	if err := testPublisher(t, dir, "dead-worker").publish(adaptiveState{
-		Version: AdaptiveStateVersion, Engine: engine.Version,
-		Group: GroupKey(victim), Seeds: 2, HalfWidth: 12345, Closed: false,
-	}); err != nil {
+	legacy := filepath.Join(dir, "adaptive", fmt.Sprintf("state-%016x.json", shardHash(GroupKey(victim))))
+	legacyBody := fmt.Sprintf(`{"version":1,"engine":%q,"group":%q,"seeds":2,"closed":false,"owner":"dead-worker","updated_unix_ns":1,"half_width":"12345"}`+"\n",
+		engine.Version, GroupKey(victim))
+	if err := os.MkdirAll(filepath.Dir(legacy), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(legacy, []byte(legacyBody), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -248,18 +212,16 @@ func TestRunAdaptiveShardedKillMidAdaptive(t *testing.T) {
 		t.Fatalf("Restored = %d, want %d", stats.Restored, k)
 	}
 	sameAdaptiveRun(t, "survivor", res, wantRes, infos, wantInfos)
-	// The survivor's closed state record replaced the dead worker's open one.
-	got, ok := testPublisher(t, dir, "check").read(GroupKey(victim), engine.Version)
-	if !ok || !got.Closed {
-		t.Fatalf("victim group state record not closed after recovery: %+v (ok=%v)", got, ok)
+	if got, err := os.ReadFile(legacy); err != nil || string(got) != legacyBody {
+		t.Fatalf("legacy state record changed: %q (%v)", got, err)
 	}
 }
 
-// TestRunAdaptiveShardedResumesStoreWithoutStateRecords is the regression
-// test for old stores: a sweep directory written by a solo adaptive run (no
-// adaptive/ directory, no leases) must resume cleanly under the claim loop —
-// the full trajectory is recomputed from the result records alone, nothing
-// re-runs, and the output is identical.
+// TestRunAdaptiveShardedResumesStoreWithoutStateRecords is the claim loop's
+// resume test: a sweep directory written by a solo adaptive run (records
+// only, no leases) must resume cleanly under the claim loop — the full
+// trajectory is recomputed from the result records alone, nothing re-runs,
+// and the output is identical.
 func TestRunAdaptiveShardedResumesStoreWithoutStateRecords(t *testing.T) {
 	cells := adaptiveShardCells()
 	ad := tightAdaptive()
@@ -271,9 +233,6 @@ func TestRunAdaptiveShardedResumesStoreWithoutStateRecords(t *testing.T) {
 	}
 	wantRes, wantInfos, _ := runAdaptive(cells, Options{Store: st}, ad)
 	st.Close()
-	if _, err := os.Stat(filepath.Join(dir, adaptiveDir)); !os.IsNotExist(err) {
-		t.Fatalf("solo adaptive run published state records (err=%v); the old-store regression test needs a store without them", err)
-	}
 
 	re, err := OpenShared(dir)
 	if err != nil {
@@ -543,66 +502,6 @@ func TestStaticShardMergesPartialForeignGroup(t *testing.T) {
 	if !reflect.DeepEqual(stats.Groups, wantGroups) {
 		t.Fatalf("group schedules:\n%+v\nwant\n%+v", stats.Groups, wantGroups)
 	}
-}
-
-// TestAdaptiveStatePublisherRoundTrip pins the record format: publish, read
-// back (including the +Inf half-width of an all-failed group), reject torn
-// and version-mismatched records.
-func TestAdaptiveStatePublisherRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	pub := testPublisher(t, dir, "w1")
-	st := adaptiveState{
-		Version: AdaptiveStateVersion, Engine: engine.Version,
-		Group: "g1", Seeds: 7, HalfWidth: 123.25, Closed: true,
-	}
-	if err := pub.publish(st); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := pub.read("g1", engine.Version)
-	if !ok {
-		t.Fatal("published record not readable")
-	}
-	if got.Seeds != 7 || !got.Closed || got.HalfWidth != 123.25 || got.Owner != "w1" {
-		t.Fatalf("round trip mangled the record: %+v", got)
-	}
-
-	// +Inf half-width survives the JSON round trip.
-	inf := st
-	inf.Group = "g2"
-	inf.HalfWidth = infHalfWidth()
-	if err := pub.publish(inf); err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := pub.read("g2", engine.Version); !ok || got.HalfWidth != infHalfWidth() {
-		t.Fatalf("infinite half-width lost: %+v (ok=%v)", got, ok)
-	}
-
-	// An update replaces the record atomically.
-	st.Seeds = 9
-	if err := pub.publish(st); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := pub.read("g1", engine.Version); got.Seeds != 9 {
-		t.Fatalf("update not visible: %+v", got)
-	}
-
-	// Torn record: ignored, not fatal.
-	torn := fsStateDir{dir: filepath.Join(dir, adaptiveDir)}.pathFor("g3")
-	if err := os.WriteFile(torn, []byte(`{"version":1,"gro`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := pub.read("g3", engine.Version); ok {
-		t.Fatal("torn record read as valid")
-	}
-	// Engine-version mismatch: ignored.
-	if _, ok := pub.read("g1", "other-engine/9"); ok {
-		t.Fatal("engine-mismatched record read as valid")
-	}
-}
-
-func infHalfWidth() float64 {
-	var zero float64
-	return 1 / zero
 }
 
 // TestRunAdaptiveShardedSoloMatchesRunAdaptive pins the degenerate fleet: one

@@ -30,11 +30,11 @@
 // cross-worker history. Both loops walk a group's seed trajectory with the
 // same cellGroup.eval — a deterministic function of the per-replica results
 // the run knows, its own over the store's — and lay out their results in the
-// same round order. Adaptive groups publish
-// per-group state records (seeds consumed, CI half-width, open/closed) next
-// to the leases with the same atomic discipline. Cooperating workers drain
-// the sweep, and every one of them returns the complete result set in the
-// round loop's order, byte-identical to a single-process run.
+// same round order. The store is the only copy of that state; a running
+// sweep reports its open adaptive groups live on /progress. Cooperating
+// workers drain the sweep, and every one of them returns the complete
+// result set in the round loop's order, byte-identical to a single-process
+// run.
 //
 // Correctness never depends on lease arbitration: records are keyed by the
 // cell's full identity and are bit-identical no matter which worker produced

@@ -29,8 +29,8 @@ const (
 )
 
 // Client is the sweep.Backend over a gatherd coordinator: record append and
-// reload, cell-group leases and adaptive state all travel the /v1 HTTP API of
-// one named store. Construct one per worker per store with NewClient and open
+// reload and cell-group leases all travel the /v1 HTTP API of one named
+// store. Construct one per worker per store with NewClient and open
 // it with sweep.OpenBackend.
 //
 // Connection errors and 5xx responses are retried with exponential backoff
@@ -160,17 +160,17 @@ func (c *Client) ReadRecords(off int64) ([]byte, int64, error) {
 
 // AppendRecord streams one record line to the coordinator.
 func (c *Client) AppendRecord(line []byte) error {
-	return c.expectNoContent(http.MethodPost, "/records", nil, line)
+	return c.expectNoContent(http.MethodPost, "/records", line)
 }
 
 // RewriteRecords replaces the coordinator's record log.
 func (c *Client) RewriteRecords(data []byte) error {
-	return c.expectNoContent(http.MethodPut, "/records", nil, data)
+	return c.expectNoContent(http.MethodPut, "/records", data)
 }
 
 // expectNoContent issues a request whose success is 204.
-func (c *Client) expectNoContent(method, path string, query url.Values, body []byte) error {
-	resp, err := c.do(method, path, query, body)
+func (c *Client) expectNoContent(method, path string, body []byte) error {
+	resp, err := c.do(method, path, nil, body)
 	if err != nil {
 		return err
 	}
@@ -243,36 +243,6 @@ func (c *Client) RenewLease(group, owner string, ttl time.Duration) (bool, error
 // ReleaseLease drops the owner's lease through the coordinator.
 func (c *Client) ReleaseLease(group, owner string) error {
 	return c.leaseCall("/release", group, owner, 0, nil)
-}
-
-// PublishState replaces a group's adaptive-state record on the coordinator.
-// The owner travels inside the body (the coordinator replaces atomically, so
-// it needs no publisher disambiguation the way the FS temp files do).
-func (c *Client) PublishState(group, owner string, body []byte) error {
-	return c.expectNoContent(http.MethodPut, "/state", url.Values{"group": {group}}, body)
-}
-
-// LoadState fetches a group's adaptive-state record; a 404 is "not published"
-// (the worker recomputes), never an error.
-func (c *Client) LoadState(group string) ([]byte, bool, error) {
-	resp, err := c.do(http.MethodGet, "/state", url.Values{"group": {group}}, nil)
-	if err != nil {
-		return nil, false, err
-	}
-	if resp.StatusCode == http.StatusNotFound {
-		io.Copy(io.Discard, resp.Body) //nolint:errcheck
-		resp.Body.Close()              //nolint:errcheck
-		return nil, false, nil
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, false, errFromResponse("GET", "/state", resp)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close() //nolint:errcheck
-	if err != nil {
-		return nil, false, fmt.Errorf("gatherd: GET /state: %w", err)
-	}
-	return body, true, nil
 }
 
 // Backend conformance is compile-checked here rather than discovered at the

@@ -1,7 +1,7 @@
 // Package netbackend implements the sweep coordination backend over HTTP:
 // Server is the in-process heart of the gatherd coordinator (cmd/gatherd) —
-// an append-only record log, a TTL lease table and adaptive-state records per
-// named store, behind a small versioned JSON/bytes API — and Client is the
+// an append-only record log and a TTL lease table per named store, behind a
+// small versioned JSON/bytes API — and Client is the
 // sweep.Backend that workers point at it with gatherbench -coordinator.
 //
 // The wire protocol (ProtoVersion, FORMAT.md) is versioned separately from

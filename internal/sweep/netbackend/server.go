@@ -29,14 +29,13 @@ const ProtoVersion = 1
 // own /metrics endpoint. The worker-side sweep counters keep counting in each
 // worker process; these count what the fleet did as a whole.
 var (
-	obsClaims    = obs.NewCounter("fatgather_gatherd_lease_claims_total")
-	obsReclaims  = obs.NewCounter("fatgather_gatherd_lease_reclaims_total")
-	obsHeld      = obs.NewCounter("fatgather_gatherd_lease_conflicts_total")
-	obsRenewals  = obs.NewCounter("fatgather_gatherd_lease_renewals_total")
-	obsAppends   = obs.NewCounter("fatgather_gatherd_records_appended_total")
-	obsPublishes = obs.NewCounter("fatgather_gatherd_state_publishes_total")
-	obsLeases    = obs.NewGauge("fatgather_gatherd_active_leases")
-	obsStores    = obs.NewGauge("fatgather_gatherd_stores")
+	obsClaims   = obs.NewCounter("fatgather_gatherd_lease_claims_total")
+	obsReclaims = obs.NewCounter("fatgather_gatherd_lease_reclaims_total")
+	obsHeld     = obs.NewCounter("fatgather_gatherd_lease_conflicts_total")
+	obsRenewals = obs.NewCounter("fatgather_gatherd_lease_renewals_total")
+	obsAppends  = obs.NewCounter("fatgather_gatherd_records_appended_total")
+	obsLeases   = obs.NewGauge("fatgather_gatherd_active_leases")
+	obsStores   = obs.NewGauge("fatgather_gatherd_stores")
 )
 
 // storeNameRE bounds store names to one safe path component: they name
@@ -59,23 +58,20 @@ type leaseEntry struct {
 	expires time.Time
 }
 
-// storeState is one named store: the append-only record log, the cell-group
-// lease table and the adaptive-state records. The log is the ground truth
-// and is the only part persisted under -dir; leases expire by design and
-// adaptive state is always recomputable from the log, so losing either on a
+// storeState is one named store: the append-only record log and the
+// cell-group lease table. The log is the ground truth and is the only part
+// persisted under -dir; leases expire by design, so losing them on a
 // coordinator restart only costs duplicated (bit-identical) work.
 type storeState struct {
 	log    []byte
 	leases map[string]leaseEntry
-	states map[string][]byte
 	f      *os.File // append-through handle when persisted; nil in memory mode
 }
 
 // Server is the gatherd coordination core: named stores, each an append-only
-// record log plus a TTL lease table plus adaptive-state records, behind the
-// /v1 HTTP API. All state lives behind one mutex — coordination traffic is
-// tiny (one claim per cell group, one append per cell) compared to the
-// simulation work it arbitrates.
+// record log plus a TTL lease table, behind the /v1 HTTP API. All state lives
+// behind one mutex — coordination traffic is tiny (one claim per cell group,
+// one append per cell) compared to the simulation work it arbitrates.
 type Server struct {
 	mu     sync.Mutex
 	stores map[string]*storeState
@@ -86,8 +82,7 @@ type Server struct {
 // NewServer creates a coordination server. A non-empty dir persists each
 // store's record log under dir/<store>/results.jsonl — the layout gatherbench
 // merge and a filesystem resume already understand — and reloads it on
-// restart; leases and adaptive state are kept in memory only (see
-// storeState).
+// restart; leases are kept in memory only (see storeState).
 func NewServer(dir string) (*Server, error) {
 	if dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -125,10 +120,7 @@ func (s *Server) storeFor(name string) (*storeState, error) {
 	if st, ok := s.stores[name]; ok {
 		return st, nil
 	}
-	st := &storeState{
-		leases: make(map[string]leaseEntry),
-		states: make(map[string][]byte),
-	}
+	st := &storeState{leases: make(map[string]leaseEntry)}
 	if s.dir != "" {
 		storeDir := filepath.Join(s.dir, name)
 		if err := os.MkdirAll(storeDir, 0o755); err != nil {
@@ -189,8 +181,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/stores/{store}/claim", s.handleClaim)
 	mux.HandleFunc("POST /v1/stores/{store}/renew", s.handleRenew)
 	mux.HandleFunc("POST /v1/stores/{store}/release", s.handleRelease)
-	mux.HandleFunc("GET /v1/stores/{store}/state", s.handleLoadState)
-	mux.HandleFunc("PUT /v1/stores/{store}/state", s.handlePublishState)
 	return mux
 }
 
@@ -202,7 +192,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		Name     string `json:"name"`
 		LogBytes int    `json:"log_bytes"`
 		Leases   int    `json:"leases"`
-		States   int    `json:"states"`
 	}
 	s.mu.Lock()
 	names := make([]string, 0, len(s.stores))
@@ -224,7 +213,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		out.Stores = append(out.Stores, storeStatus{
-			Name: name, LogBytes: len(st.log), Leases: live, States: len(st.states),
+			Name: name, LogBytes: len(st.log), Leases: live,
 		})
 	}
 	s.mu.Unlock()
@@ -438,49 +427,6 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 			delete(st.leases, req.Group)
 			s.activeLeases()
 		}
-		w.WriteHeader(http.StatusNoContent)
-		return nil
-	})
-}
-
-// handleLoadState serves a group's adaptive-state record; 404 when none is
-// published (the worker recomputes from the record log).
-func (s *Server) handleLoadState(w http.ResponseWriter, r *http.Request) {
-	group := r.URL.Query().Get("group")
-	if group == "" {
-		http.Error(w, "gatherd: state request needs a group parameter", http.StatusBadRequest)
-		return
-	}
-	s.withStore(w, r, func(st *storeState) error {
-		body, ok := st.states[group]
-		if !ok {
-			http.Error(w, "gatherd: no state for group", http.StatusNotFound)
-			return nil
-		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		_, _ = w.Write(body)
-		return nil
-	})
-}
-
-// handlePublishState replaces a group's adaptive-state record. Replacement
-// under the server mutex is atomic by construction — readers see the old
-// record or the new one, never a torn mix (the property the filesystem
-// backend needs hard links for).
-func (s *Server) handlePublishState(w http.ResponseWriter, r *http.Request) {
-	group := r.URL.Query().Get("group")
-	if group == "" {
-		http.Error(w, "gatherd: state request needs a group parameter", http.StatusBadRequest)
-		return
-	}
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		http.Error(w, "gatherd: read body: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	s.withStore(w, r, func(st *storeState) error {
-		st.states[group] = bytes.Clone(body)
-		obsPublishes.Inc()
 		w.WriteHeader(http.StatusNoContent)
 		return nil
 	})

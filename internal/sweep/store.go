@@ -467,8 +467,8 @@ func (s *Store) Warnings() []string {
 func (s *Store) Path() string { return s.path }
 
 // Backend returns the coordination backend the store was opened over; the
-// sharded runners claim cell-group leases and publish adaptive state through
-// it, so leases always travel the same medium as the records they guard.
+// sharded runners claim cell-group leases through it, so leases always
+// travel the same medium as the records they guard.
 func (s *Store) Backend() Backend { return s.b }
 
 // Reset discards every stored record: the next run is a clean sweep.
