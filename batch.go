@@ -84,21 +84,6 @@ type BatchOptions struct {
 	// heartbeat before peers may reclaim it (default 30s). It requires
 	// ShardOwner and may not exceed 24h (sweep.MaxLeaseHorizon).
 	LeaseTTL time.Duration
-	// Shards and ShardIndex statically partition the cell groups by a
-	// stable hash when Shards > 1: this process runs only the groups with
-	// hash%Shards == ShardIndex. Unlike lease mode this works without a
-	// SweepDir, but then BatchResult covers only this shard's cells.
-	Shards int
-	// ShardIndex is this process's static shard (0 <= ShardIndex < Shards).
-	ShardIndex int
-	// Steal enables lease-aware work stealing when ShardOwner and Shards are
-	// both set: once this worker's static share has no claimable cell group
-	// left, it claims unclaimed or expired groups outside the share instead
-	// of idling until peers finish. Stolen groups are arbitrated by the same
-	// leases, so every group still runs exactly once fleet-wide and results
-	// stay byte-identical; the count of stolen groups is reported in
-	// BatchResult.Stolen.
-	Steal bool
 }
 
 // BatchCell identifies one run within a batch.
@@ -170,13 +155,10 @@ type BatchResult struct {
 	Restored int
 	// Claimed and Skipped count the cell groups this worker ran vs left to
 	// peers in a sharded batch (both 0 without sharding), and Reclaimed
-	// counts expired leases taken over from dead workers. Stolen counts the
-	// claimed groups that lay outside this worker's static share
-	// (BatchOptions.Steal).
+	// counts expired leases taken over from dead workers.
 	Claimed   int
 	Skipped   int
 	Reclaimed int
-	Stolen    int
 }
 
 // RunBatch runs a declarative batch of gathering simulations across all CPU
@@ -225,13 +207,7 @@ func RunBatch(opts BatchOptions) (BatchResult, error) {
 	if opts.SeedStart < 0 {
 		return BatchResult{}, fmt.Errorf("%w: SeedStart must be positive (or 0 for the default), got %d", ErrBadOptions, opts.SeedStart)
 	}
-	shard := sweep.Shard{
-		Owner:  opts.ShardOwner,
-		TTL:    opts.LeaseTTL,
-		Shards: opts.Shards,
-		Index:  opts.ShardIndex,
-		Steal:  opts.Steal,
-	}
+	shard := sweep.Shard{Owner: opts.ShardOwner, TTL: opts.LeaseTTL}
 	if err := shard.Validate(); err != nil {
 		return BatchResult{}, fmt.Errorf("%w: %v", ErrBadOptions, err)
 	}
@@ -287,7 +263,6 @@ func RunBatch(opts BatchOptions) (BatchResult, error) {
 		Claimed:   stats.GroupsClaimed,
 		Skipped:   stats.GroupsSkipped,
 		Reclaimed: stats.LeasesReclaimed,
-		Stolen:    stats.GroupsStolen,
 	}
 	for i, r := range results {
 		cell := BatchCellResult{
@@ -328,8 +303,7 @@ func RunBatch(opts BatchOptions) (BatchResult, error) {
 	// The adaptive scheduler groups by full cell identity minus seeds, the
 	// collector by the public grid point; within one batch (uniform Delta,
 	// MaxEvents, ...) both partitions are identical, so the per-group seed
-	// info pairs up by group key. Not every collector group has one: a static
-	// shard also returns the stored input replicas of a peer's open group.
+	// info pairs up by group key (fixed grids have none).
 	schedules := make(map[string]sweep.GroupSeeds, len(stats.Groups))
 	for _, info := range stats.Groups {
 		schedules[info.Key] = info

@@ -379,45 +379,6 @@ func TestRunBatchShardedConcurrentWorkers(t *testing.T) {
 	}
 }
 
-// TestRunBatchStaticShardsPartition pins static mode: without a shared
-// store the two shards return disjoint, complementary subsets of the batch.
-func TestRunBatchStaticShardsPartition(t *testing.T) {
-	opts := BatchOptions{
-		Workloads: []Workload{WorkloadClustered, WorkloadRing},
-		Ns:        []int{3, 4},
-		Seeds:     2,
-		MaxEvents: 1500,
-	}
-	want, err := RunBatch(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	seen := map[BatchCell]int{}
-	total := 0
-	for idx := 0; idx < 2; idx++ {
-		sh := opts
-		sh.Shards = 2
-		sh.ShardIndex = idx
-		got, err := RunBatch(sh)
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += len(got.Cells)
-		for _, c := range got.Cells {
-			seen[c.Cell]++
-		}
-	}
-	if total != len(want.Cells) {
-		t.Fatalf("shards covered %d cells, want %d", total, len(want.Cells))
-	}
-	for _, c := range want.Cells {
-		if seen[c.Cell] != 1 {
-			t.Fatalf("cell %+v covered %d times, want exactly once", c.Cell, seen[c.Cell])
-		}
-	}
-}
-
 // TestRunBatchRejectsLeaseTTLBeyondHorizon pins the shard validator at the
 // batch entry point. A LeaseTTL past sweep.MaxLeaseHorizon makes every claim
 // fail, so a worker would run every group leaseless and a fleet would
@@ -442,83 +403,7 @@ func TestRunBatchShardedRejectsBadOptions(t *testing.T) {
 	if _, err := RunBatch(BatchOptions{ShardOwner: "w"}); !errors.Is(err, ErrBadOptions) {
 		t.Fatalf("ShardOwner without SweepDir: got %v", err)
 	}
-	if _, err := RunBatch(BatchOptions{Steal: true}); !errors.Is(err, ErrBadOptions) {
-		t.Fatalf("Steal without ShardOwner: got %v", err)
-	}
-	if _, err := RunBatch(BatchOptions{Shards: 2, ShardIndex: 2}); !errors.Is(err, ErrBadOptions) {
-		t.Fatalf("ShardIndex out of range: got %v", err)
-	}
-	if _, err := RunBatch(BatchOptions{Shards: -1}); !errors.Is(err, ErrBadOptions) {
-		t.Fatalf("negative Shards: got %v", err)
-	}
 	if _, err := RunBatch(BatchOptions{ShardOwner: "w", SweepDir: t.TempDir(), LeaseTTL: -time.Second}); !errors.Is(err, ErrBadOptions) {
 		t.Fatalf("negative LeaseTTL: got %v", err)
-	}
-}
-
-// TestRunBatchStaticAdaptiveShardKeepsCIHalfWidth: a static adaptive shard
-// over a store that already holds a peer's input replicas also returns the
-// stored replicas of the peer's still-open groups, so it reports more groups
-// than adaptive schedules. Every group the shard ran must still carry its
-// schedule — the seeds used and the CI half-width of a solo adaptive run.
-func TestRunBatchStaticAdaptiveShardKeepsCIHalfWidth(t *testing.T) {
-	base := BatchOptions{
-		Workloads:   []Workload{WorkloadClustered, WorkloadRing, WorkloadRandom, WorkloadGrid},
-		Ns:          []int{4, 5},
-		Adversaries: []AdversaryName{AdversaryFair, AdversaryRandomAsync},
-		Seeds:       2,
-		MaxEvents:   3000,
-		Workers:     2,
-	}
-	dir := t.TempDir()
-	prefill := base
-	prefill.SweepDir = dir
-	if _, err := RunBatch(prefill); err != nil {
-		t.Fatal(err)
-	}
-
-	adaptive := base
-	adaptive.AdaptiveCI, adaptive.AdaptiveMaxSeeds = 1e-9, 3
-	solo, err := RunBatch(adaptive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	type point struct {
-		w Workload
-		n int
-		a AdversaryName
-	}
-	want := make(map[point]BatchGroup)
-	for _, g := range solo.Groups {
-		want[point{g.Workload, g.N, g.Adversary}] = g
-	}
-
-	shard := adaptive
-	shard.SweepDir, shard.Shards, shard.ShardIndex = dir, 2, 0
-	got, err := RunBatch(shard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ran, partial := 0, 0
-	for _, g := range got.Groups {
-		w := want[point{g.Workload, g.N, g.Adversary}]
-		if g.Runs+g.Errors < w.Runs+w.Errors {
-			// A peer's open group: only its stored input replicas, no schedule.
-			partial++
-			if g.CIHalfWidth != 0 || g.SeedsUsed != g.Runs+g.Errors {
-				t.Fatalf("partial group %+v carries a schedule", g)
-			}
-			continue
-		}
-		if g.SeedsUsed != w.SeedsUsed || g.CIHalfWidth != w.CIHalfWidth {
-			t.Fatalf("group %s n=%d %s: seeds %d CI %g, want seeds %d CI %g",
-				g.Workload, g.N, g.Adversary, g.SeedsUsed, g.CIHalfWidth, w.SeedsUsed, w.CIHalfWidth)
-		}
-		if g.CIHalfWidth != 0 {
-			ran++
-		}
-	}
-	if partial == 0 || ran == 0 {
-		t.Fatalf("scenario does not bite: %d partial groups, %d groups with a nonzero CI", partial, ran)
 	}
 }

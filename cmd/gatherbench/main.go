@@ -31,7 +31,6 @@
 // once its leases expire, and each print the same byte-identical tables:
 //
 //	gatherbench -only E5 -out sweep/ -shard-owner "$(hostname)-$$"
-//	gatherbench -only E5 -shards 2 -shard-id 0   # static split, no shared dir
 //
 // Adaptive sharding: -adaptive-ci composes with -shard-owner. The fleet
 // coordinates the data-dependent seed grid through the shared store alone:
@@ -40,31 +39,23 @@
 // -http shows a worker's open groups (seeds consumed, CI half-width) on
 // /progress. The trajectory is deterministic given the
 // stored results, so every worker converges on the same per-group seed
-// counts and prints tables byte-identical to a single adaptive process. With
-// -shards, -steal lets a worker that drained its static share take over
-// unclaimed or expired tail groups instead of idling:
+// counts and prints tables byte-identical to a single adaptive process:
 //
 //	gatherbench -only E14 -out sweep/ -adaptive-ci 800 -shard-owner w1
 //	gatherbench -only E14 -out sweep/ -adaptive-ci 800 -shard-owner w2
-//	gatherbench -only E5 -out sweep/ -shard-owner w1 -shards 2 -shard-id 0 -steal
 //
 // Network coordination: -coordinator replaces the shared sweep directory
-// with a gatherd daemon (cmd/gatherd) — same leases, records and adaptive
-// state, spoken over HTTP to per-experiment stores on the coordinator, so a
-// fleet needs no shared mount. Coordinator runs always resume; the tables
-// stay byte-identical to a filesystem or single-process run:
+// with a gatherd daemon (cmd/gatherd) — same leases and records, spoken over
+// HTTP to per-experiment stores on the coordinator, so a fleet needs no
+// shared mount. Coordinator runs always resume; the tables stay
+// byte-identical to a filesystem or single-process run:
 //
 //	gatherd -addr :9340 -dir coord/ &
 //	gatherbench -only E13 -coordinator http://localhost:9340 -shard-owner w1
 //	gatherbench -only E13 -coordinator http://localhost:9340 -shard-owner w2
 //
-// Merge: static shards that ran WITHOUT a shared filesystem each hold a
-// partial store; copy the sweep directories to one host and merge them
-// (records from a different engine version are rejected), then resume from
-// the merged store to render the full tables:
-//
-//	gatherbench merge -out merged/ sweepA/ sweepB/
-//	gatherbench -only E5 -out merged/ -resume
+// Hosts that share neither a filesystem nor a network can still split a
+// suite by experiment (-only), since each experiment has its own store.
 //
 // Livelocks: runs certified as zero-progress cycles (outcome "livelocked",
 // see internal/sim/livelock.go) checkpoint a bounded trace snippet of the
@@ -121,9 +112,6 @@ func main() {
 }
 
 func run(args []string, out io.Writer) error {
-	if len(args) > 0 && args[0] == "merge" {
-		return runMerge(args[1:], out)
-	}
 	if len(args) > 0 && args[0] == "livelocks" {
 		return runLivelocks(args[1:], out)
 	}
@@ -144,9 +132,6 @@ func run(args []string, out io.Writer) error {
 	adaptiveMax := fs.Int("adaptive-max-seeds", 0, "seed cap per cell group in adaptive mode (0 = default cap)")
 	shardOwner := fs.String("shard-owner", "", "cooperative sharding: this worker's unique id (e.g. host+pid); cell groups are claimed via lease files in the shared -out directory, so N such processes drain one sweep together (requires -out, implies -resume; composes with -adaptive-ci)")
 	leaseTTL := fs.Duration("lease-ttl", 0, "lease expiry in cooperative sharding: a worker silent this long is presumed dead and its cells re-run (0 = 30s default; requires -shard-owner)")
-	shards := fs.Int("shards", 0, "static sharding: total number of shards; this process runs only cell groups hashing to its -shard-id (works without a shared -out store, but then tables cover only this shard's cells)")
-	shardID := fs.Int("shard-id", 0, "static sharding: this process's shard index in [0, shards)")
-	steal := fs.Bool("steal", false, "lease-aware work stealing: once this worker's static share is drained, claim unclaimed or expired cell groups outside it instead of idling (requires -shard-owner; results are unchanged, only the work distribution)")
 	telemetryOut := fs.String("telemetry-out", "", "write a JSON snapshot of all telemetry (counters, gauges, histograms) to this file when the suite finishes; advisory only, never part of the sweep store")
 	httpAddr := fs.String("http", "", "serve live telemetry on this address (host:port; :0 picks a free port) for the duration of the run: /metrics (Prometheus text), /progress (sweep JSON), /debug/pprof/")
 	httpLinger := fs.Duration("http-linger", 0, "keep the -http telemetry server alive this long after the suite finishes, so scrapers can collect the final state (requires -http)")
@@ -154,6 +139,9 @@ func run(args []string, out io.Writer) error {
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file when the suite finishes (go tool pprof)")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
 	if *seeds < 1 {
 		return fmt.Errorf("-seeds must be positive, got %d (a non-positive value would render empty tables)", *seeds)
@@ -187,18 +175,6 @@ func run(args []string, out io.Writer) error {
 	}
 	if *leaseTTL > 0 && *shardOwner == "" {
 		return fmt.Errorf("-lease-ttl requires -shard-owner (it only configures cooperative sharding)")
-	}
-	if *shards < 0 {
-		return fmt.Errorf("-shards must be non-negative, got %d", *shards)
-	}
-	if *shards > 1 && (*shardID < 0 || *shardID >= *shards) {
-		return fmt.Errorf("-shard-id must be in [0, %d), got %d", *shards, *shardID)
-	}
-	if *shardID != 0 && *shards <= 1 {
-		return fmt.Errorf("-shard-id requires -shards > 1")
-	}
-	if *steal && *shardOwner == "" {
-		return fmt.Errorf("-steal requires -shard-owner (stealing is arbitrated through lease files)")
 	}
 	if *crash < 0 {
 		return fmt.Errorf("-crash must be non-negative, got %d", *crash)
@@ -264,9 +240,6 @@ func run(args []string, out io.Writer) error {
 		AdaptiveMaxSeeds: *adaptiveMax,
 		ShardOwner:       *shardOwner,
 		LeaseTTL:         *leaseTTL,
-		Shards:           *shards,
-		ShardIndex:       *shardID,
-		Steal:            *steal,
 		// All warnings funnel through the serialized obs logger: one writer on
 		// stderr, machine-parseable logfmt lines, no interleaving between the
 		// engine's worker warnings and the sweep layer's.
@@ -373,85 +346,6 @@ func adversarySpecFromFlags(adv string, crash int, noise, trunc float64) (string
 		return "", err
 	}
 	return spec.String(), nil
-}
-
-// runMerge implements the "merge" subcommand: combine the stores of sweep
-// directories produced by static shards that ran without a shared filesystem.
-// Each source may be a flat store (a directory holding results.jsonl) or a
-// gatherbench -out directory (one store per experiment subdirectory); the
-// layout is reproduced under -out. Records from a different engine or schema
-// version are rejected with a warning. Merging is idempotent, and the merged
-// directory is a normal sweep store: resume from it (-out merged/ -resume) to
-// render the combined tables.
-func runMerge(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("gatherbench merge", flag.ContinueOnError)
-	outDir := fs.String("out", "", "destination sweep directory the sources are merged into (required)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	srcs := fs.Args()
-	if *outDir == "" {
-		return fmt.Errorf("merge: -out is required (the directory to merge into)")
-	}
-	if len(srcs) == 0 {
-		return fmt.Errorf("merge: no source directories given (usage: gatherbench merge -out merged/ dir1 dir2 ...)")
-	}
-	warnf := func(format string, args ...any) {
-		obs.Warnf("merge", format, args...)
-	}
-	// Group the sources by store layout: a flat store merges into -out
-	// directly; a per-experiment layout merges subdirectory-wise.
-	flat := make([]string, 0, len(srcs))
-	perExp := make(map[string][]string)
-	var expOrder []string
-	for _, src := range srcs {
-		if _, err := os.Stat(filepath.Join(src, "results.jsonl")); err == nil {
-			flat = append(flat, src)
-			continue
-		}
-		entries, err := os.ReadDir(src)
-		if err != nil {
-			return fmt.Errorf("merge: %w", err)
-		}
-		found := false
-		for _, e := range entries {
-			if !e.IsDir() {
-				continue
-			}
-			if _, err := os.Stat(filepath.Join(src, e.Name(), "results.jsonl")); err != nil {
-				continue
-			}
-			if _, ok := perExp[e.Name()]; !ok {
-				expOrder = append(expOrder, e.Name())
-			}
-			perExp[e.Name()] = append(perExp[e.Name()], filepath.Join(src, e.Name()))
-			found = true
-		}
-		if !found {
-			return fmt.Errorf("merge: %s holds no sweep store (no results.jsonl at the top level or one directory below)", src)
-		}
-	}
-	sort.Strings(expOrder)
-	report := func(dst string, st sweep.MergeStats) {
-		fmt.Fprintf(out, "merged %d records into %s (%d already present, %d sources)\n",
-			st.Added, dst, st.Skipped, st.Sources)
-	}
-	if len(flat) > 0 {
-		st, err := sweep.MergeDirs(*outDir, flat, warnf)
-		if err != nil {
-			return fmt.Errorf("merge: %w", err)
-		}
-		report(*outDir, st)
-	}
-	for _, exp := range expOrder {
-		dst := filepath.Join(*outDir, exp)
-		st, err := sweep.MergeDirs(dst, perExp[exp], warnf)
-		if err != nil {
-			return fmt.Errorf("merge: %w", err)
-		}
-		report(dst, st)
-	}
-	return nil
 }
 
 // runLivelocks implements the "livelocks" subcommand: scan sweep stores for

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -37,9 +38,10 @@ func TestRunRejectsDegenerateFlags(t *testing.T) {
 		{"negative adaptive-ci", []string{"-adaptive-ci", "-1"}, "-adaptive-ci must be non-negative"},
 		{"negative adaptive cap", []string{"-adaptive-max-seeds", "-1"}, "-adaptive-max-seeds must be non-negative"},
 		{"adaptive cap without target", []string{"-adaptive-max-seeds", "8"}, "-adaptive-max-seeds requires -adaptive-ci"},
-		{"steal without owner", []string{"-steal"}, "-steal requires -shard-owner"},
+		{"steal without owner", []string{"-steal"}, "flag provided but not defined: -steal"},
 		{"unknown experiment", []string{"-only", "E99"}, "unknown experiment id"},
 		{"unknown flag", []string{"-bogus"}, "flag provided but not defined"},
+		{"stray argument", []string{"-only", "E1", "-seeds", "1", "-max-events", "200", "extra"}, "unexpected arguments: [extra]"},
 		{"unknown adversary", []string{"-adversary", "bogus"}, "unknown adversary strategy"},
 		{"malformed adversary spec", []string{"-adversary", "fair+noise=abc"}, "bad noise bound"},
 		{"negative crash", []string{"-crash", "-1"}, "-crash must be non-negative"},
@@ -121,7 +123,9 @@ func TestRunAdaptiveFlag(t *testing.T) {
 	}
 }
 
-// TestRunRejectsBadShardFlags covers the sharding flag validation.
+// TestRunRejectsBadShardFlags covers the sharding flag validation. The
+// static-split flags -shards and -shard-id are gone; their old invocations
+// must fail loudly rather than run the whole suite unsharded.
 func TestRunRejectsBadShardFlags(t *testing.T) {
 	cases := []struct {
 		name string
@@ -131,12 +135,12 @@ func TestRunRejectsBadShardFlags(t *testing.T) {
 		{"shard-owner without out", []string{"-shard-owner", "w"}, "-shard-owner requires -out"},
 		{"lease-ttl without owner", []string{"-lease-ttl", "10s"}, "-lease-ttl requires -shard-owner"},
 		{"negative lease-ttl", []string{"-shard-owner", "w", "-out", t.TempDir(), "-lease-ttl", "-1s"}, "-lease-ttl must be non-negative"},
-		{"negative shards", []string{"-shards", "-1"}, "-shards must be non-negative"},
-		{"shard-id equal to shards", []string{"-shards", "2", "-shard-id", "2"}, "-shard-id must be in [0, 2)"},
-		{"shard-id above shards", []string{"-shards", "2", "-shard-id", "5"}, "-shard-id must be in [0, 2)"},
-		{"negative shard-id", []string{"-shards", "2", "-shard-id", "-1"}, "-shard-id must be in [0, 2)"},
-		{"bare shard-id", []string{"-shard-id", "1"}, "-shard-id requires -shards"},
-		{"shard-id with shards=1", []string{"-shards", "1", "-shard-id", "1"}, "-shard-id requires -shards"},
+		{"negative shards", []string{"-shards", "-1"}, "flag provided but not defined: -shards"},
+		{"shard-id equal to shards", []string{"-shards", "2", "-shard-id", "2"}, "flag provided but not defined: -shards"},
+		{"shard-id above shards", []string{"-shards", "2", "-shard-id", "5"}, "flag provided but not defined: -shards"},
+		{"negative shard-id", []string{"-shards", "2", "-shard-id", "-1"}, "flag provided but not defined: -shards"},
+		{"bare shard-id", []string{"-shard-id", "1"}, "flag provided but not defined: -shard-id"},
+		{"shard-id with shards=1", []string{"-shards", "1", "-shard-id", "1"}, "flag provided but not defined: -shards"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -183,47 +187,6 @@ func TestRunShardOwnerFlag(t *testing.T) {
 	}
 	if len(after) != len(before) {
 		t.Fatalf("sharded worker re-ran completed cells: store grew from %d to %d bytes", len(before), len(after))
-	}
-}
-
-// TestRunStaticShardsFlag pins the static split: shard 0 checkpoints a
-// strict subset, and shard 1 — run over the same directory — completes the
-// sweep and, with the store to merge from, prints the full tables.
-func TestRunStaticShardsFlag(t *testing.T) {
-	refDir := t.TempDir()
-	var want strings.Builder
-	if err := run([]string{"-only", "E5", "-seeds", "2", "-max-events", "1200", "-out", refDir}, &want); err != nil {
-		t.Fatal(err)
-	}
-	refData, err := os.ReadFile(filepath.Join(refDir, "E5", "results.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	totalRecords := strings.Count(string(refData), "\n")
-
-	dir := t.TempDir()
-	base := []string{"-only", "E5", "-seeds", "2", "-max-events", "1200", "-out", dir, "-resume", "-shards", "2"}
-	var shard0 strings.Builder
-	if err := run(append(base, "-shard-id", "0"), &shard0); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(filepath.Join(dir, "E5", "results.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	part := strings.Count(string(data), "\n")
-	if part == 0 || part >= totalRecords {
-		t.Fatalf("shard 0 checkpointed %d of %d records, want a strict non-empty subset", part, totalRecords)
-	}
-
-	// Shard 1 runs its own share and merges shard 0's from the store: the
-	// output is the complete table set, byte-identical to the plain run.
-	var shard1 strings.Builder
-	if err := run(append(base, "-shard-id", "1"), &shard1); err != nil {
-		t.Fatal(err)
-	}
-	if shard1.String() != want.String() {
-		t.Fatalf("merged static shard output differs:\n%s\nvs\n%s", shard1.String(), want.String())
 	}
 }
 
@@ -289,100 +252,28 @@ func TestRunAdaptiveComposesWithShardOwner(t *testing.T) {
 	}
 }
 
-// TestMergeSubcommand pins the static-shard merge path end to end: two
-// shards sweep disjoint cell groups into separate directories (no shared
-// filesystem), merge combines them, and resuming from the merged store
-// renders tables byte-identical to an unsharded run.
-func TestMergeSubcommand(t *testing.T) {
-	base := []string{"-only", "E5", "-seeds", "2", "-max-events", "1200"}
-
-	refDir := t.TempDir()
-	var want strings.Builder
-	if err := run(append(base, "-out", refDir), &want); err != nil {
-		t.Fatal(err)
-	}
-
-	dirA, dirB := t.TempDir(), t.TempDir()
-	var shard0, shard1 strings.Builder
-	if err := run(append(base, "-out", dirA, "-shards", "2", "-shard-id", "0"), &shard0); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(append(base, "-out", dirB, "-shards", "2", "-shard-id", "1"), &shard1); err != nil {
-		t.Fatal(err)
-	}
-
-	merged := t.TempDir()
-	var mergeOut strings.Builder
-	if err := run([]string{"merge", "-out", merged, dirA, dirB}, &mergeOut); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(mergeOut.String(), "merged ") {
-		t.Fatalf("merge printed no summary:\n%s", mergeOut.String())
-	}
-
-	mergedKeys := readStoreKeys(t, filepath.Join(merged, "E5", "results.jsonl"))
-	refKeys := readStoreKeys(t, filepath.Join(refDir, "E5", "results.jsonl"))
-	if len(mergedKeys) != len(refKeys) {
-		t.Fatalf("merged store holds %d records, reference %d", len(mergedKeys), len(refKeys))
-	}
-
-	var resumed strings.Builder
-	if err := run(append(base, "-out", merged, "-resume"), &resumed); err != nil {
-		t.Fatal(err)
-	}
-	if resumed.String() != want.String() {
-		t.Fatalf("resume from merged store differs from unsharded run:\n%s\nvs\n%s", resumed.String(), want.String())
-	}
-	after := readStoreKeys(t, filepath.Join(merged, "E5", "results.jsonl"))
-	if len(after) != len(mergedKeys) {
-		t.Fatalf("resume from merged store re-ran cells: %d -> %d records", len(mergedKeys), len(after))
-	}
-}
-
-// TestMergeRejectsMismatchedEngineVersion pins the version gate: a source
-// store written by a different engine version contributes nothing.
-func TestMergeRejectsMismatchedEngineVersion(t *testing.T) {
-	src := filepath.Join(t.TempDir(), "E5")
-	if err := os.MkdirAll(src, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	stale := `{"schema":1,"engine":"fatgather-engine/0-stale","key":"k1","elapsed_ns":1}` + "\n"
-	if err := os.WriteFile(filepath.Join(src, "results.jsonl"), []byte(stale), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	merged := t.TempDir()
-	var out strings.Builder
-	if err := run([]string{"merge", "-out", merged, filepath.Dir(src)}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "merged 0 records") {
-		t.Fatalf("stale-version records were not rejected:\n%s", out.String())
-	}
-	// The rejected source must be left untouched for inspection.
-	data, err := os.ReadFile(filepath.Join(src, "results.jsonl"))
-	if err != nil || string(data) != stale {
-		t.Fatalf("merge modified a rejected source store: %q, %v", data, err)
-	}
-}
-
-// TestMergeRejectsBadUsage covers the merge subcommand's own flag errors.
+// TestMergeRejectsBadUsage: the merge subcommand is gone (gatherd serves
+// fleets without a shared filesystem). Every old invocation form must be
+// rejected as stray arguments before anything runs — in particular a full
+// old command line must not run the entire suite.
 func TestMergeRejectsBadUsage(t *testing.T) {
 	cases := []struct {
 		name string
 		args []string
-		want string
 	}{
-		{"missing out", []string{"merge", t.TempDir()}, "-out is required"},
-		{"no sources", []string{"merge", "-out", t.TempDir()}, "no source directories"},
-		{"source without store", []string{"merge", "-out", t.TempDir(), t.TempDir()}, "holds no sweep store"},
+		{"missing out", []string{"merge", "sweepA"}},
+		{"no sources", []string{"merge", "-out", "merged"}},
+		{"source without store", []string{"merge", "-out", "merged", "sweepA", "sweepB"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var out strings.Builder
 			err := run(tc.args, &out)
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("run(%v) error %v does not contain %q", tc.args, err, tc.want)
+			if want := fmt.Sprintf("unexpected arguments: %v", tc.args); err == nil || err.Error() != want {
+				t.Fatalf("run(%v) = %v, want %q", tc.args, err, want)
+			}
+			if out.Len() != 0 {
+				t.Fatalf("run(%v) printed tables:\n%s", tc.args, out.String())
 			}
 		})
 	}

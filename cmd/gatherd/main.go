@@ -10,8 +10,8 @@
 // expire by design, so killing and restarting gatherd mid-sweep costs at most
 // duplicated (bit-identical) work — workers retry with backoff and re-append.
 // With -dir, record logs persist across restarts in the same
-// <dir>/<store>/results.jsonl layout a filesystem sweep uses, so gatherbench
-// merge and a later FS resume understand them directly.
+// <dir>/<store>/results.jsonl layout a filesystem sweep uses, so a later FS
+// resume (or gatherbench livelocks) reads them directly.
 //
 // The listener also serves the repo's standard observability surface:
 // /metrics (coordination counters and gauges), /progress, /debug/pprof/, and

@@ -103,7 +103,8 @@ func TestGatherdServesCoordinationAndObservability(t *testing.T) {
 // TestGatherdPersistsRecordsAcrossRestart: with -dir, the record log written
 // through one daemon incarnation is served by the next one — the layout is
 // the sweep directory's own (<dir>/<store>/results.jsonl), so filesystem
-// tools (gatherbench merge) understand a coordinator's data directory.
+// tools (a resume, gatherbench livelocks) understand a coordinator's data
+// directory.
 func TestGatherdPersistsRecordsAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 	line := `{"k":"v"}` + "\n"

@@ -19,6 +19,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-adversary", "nope"},
 		{"-algorithm", "nope"},
 		{"-n", "0"},
+		{"-n", "3", "-max-events", "100", "extra"},
 	}
 	for _, args := range cases {
 		if err := run(args, os.Stderr); err == nil {

@@ -18,6 +18,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-workload", "nope"},
 		{"-trace", filepath.Join(t.TempDir(), "missing.json")},
 		{"-trace", "x.json", "-figure", "fig1"},
+		{"-n", "3", "extra"},
 	}
 	for _, args := range cases {
 		if err := run(args, os.Stderr); err == nil {

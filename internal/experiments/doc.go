@@ -7,11 +7,11 @@
 // The multi-run experiments (E5, E7, E9, E10, E11, E13, E14, E15) execute
 // their cell grids on the parallel engine through the resumable sweep layer:
 // Config wires worker counts, on-disk checkpointing (SweepDir/Resume),
-// adaptive seed scheduling (AdaptiveCI) and multi-process sharding
-// (ShardOwner/LeaseTTL or Shards/ShardIndex, plus lease-aware work stealing
-// via Steal) into every one of them uniformly; AdaptiveCI and ShardOwner
-// compose, so a fleet can drain one adaptive sweep cooperatively. Tables are
-// byte-identical across worker counts, resumes and sharded fleets.
+// adaptive seed scheduling (AdaptiveCI) and lease-based multi-process
+// sharding (ShardOwner/LeaseTTL) into every one of them uniformly; AdaptiveCI
+// and ShardOwner compose, so a fleet can drain one adaptive sweep
+// cooperatively. Tables are byte-identical across worker counts, resumes and
+// sharded fleets.
 //
 // E13-E15 are the robustness suite on top of internal/adversary: E13 crosses
 // every adversary strategy with workload shapes, E14 sweeps the crash-stop

@@ -124,18 +124,6 @@ type Config struct {
 	// sweep.DefaultLeaseTTL). It requires ShardOwner and may not exceed
 	// sweep.MaxLeaseHorizon.
 	LeaseTTL time.Duration
-	// Shards and ShardIndex statically partition the cell groups by a stable
-	// hash when Shards > 1: this process only runs groups with
-	// hash%Shards == ShardIndex. Unlike lease mode this needs no shared
-	// store, but without one each process renders only its own share.
-	Shards int
-	// ShardIndex is this process's static shard (0 <= ShardIndex < Shards).
-	ShardIndex int
-	// Steal enables lease-aware work stealing when ShardOwner and Shards are
-	// both set: a worker that drains its static share claims unclaimed or
-	// expired tail groups outside it instead of idling until peers finish.
-	// Results stay byte-identical — stealing only redistributes work.
-	Steal bool
 	// Warnf, when non-nil, receives sweep-store warnings (corrupt records
 	// skipped on load, version mismatches, checkpoint failures).
 	Warnf func(format string, args ...any)
@@ -143,22 +131,16 @@ type Config struct {
 
 // shard is the sweep-layer form of the sharding knobs.
 func (c Config) shard() sweep.Shard {
-	return sweep.Shard{
-		Owner:  c.ShardOwner,
-		TTL:    c.LeaseTTL,
-		Shards: c.Shards,
-		Index:  c.ShardIndex,
-		Steal:  c.Steal,
-	}
+	return sweep.Shard{Owner: c.ShardOwner, TTL: c.LeaseTTL}
 }
 
 // Validate checks the configuration up front and returns a clear error for
-// combinations that would otherwise fail silently — most importantly a shard
-// index outside [0, Shards), which would make every sharded run claim zero
-// cell groups and render empty tables. cmd/gatherbench calls it after flag
-// parsing; library callers should too. runCells additionally consults it and
-// degrades a misconfigured sharded run to an unsharded one (with a warning)
-// rather than doing no work.
+// combinations that would otherwise fail silently — for example a lease TTL
+// past sweep.MaxLeaseHorizon, which would fail every claim and run the whole
+// fleet leaseless. cmd/gatherbench calls it after flag parsing; library
+// callers should too. runCells additionally consults it and degrades a
+// misconfigured sharded run to an unsharded one (with a warning) rather than
+// failing.
 func (c Config) Validate() error {
 	if c.Seeds < 0 {
 		return fmt.Errorf("experiments: Seeds must be non-negative, got %d", c.Seeds)
@@ -214,12 +196,11 @@ func (c Config) warnf(format string, args ...any) {
 // sweep entry point: workload generation is memoized per (kind, n, seed),
 // results stream to SweepDir/<id> (or the coordinator's <id> store) when
 // checkpointing is on, AdaptiveCI grows the grid adaptively, and ShardOwner
-// or Shards make the run one worker of a sharded sweep. sweep.Run picks its
-// loop from those settings, so a fleet converges on the same grid — and
-// tables — as a single process. A static shard returns only the cells it ran
-// or could restore. The results are otherwise identical to engine.Run on the
-// same cells, plus any adaptive replicas, whose per-group seed counts come
-// back in the GroupSeeds slice (nil for fixed-seed runs).
+// makes the run one worker of a fleet. sweep.Run picks its loop from those
+// settings, so a fleet converges on the same grid — and tables — as a
+// single process. The results are identical to engine.Run on the same
+// cells, plus any adaptive replicas, whose per-group seed counts come back
+// in the GroupSeeds slice (nil for fixed-seed runs).
 func (c Config) runCells(id string, cells []engine.Cell) ([]engine.CellResult, []sweep.GroupSeeds) {
 	// Telemetry: mark the sweep active for /progress while the grid drains.
 	// Write-only (one-way contract); the progress view never feeds back into
@@ -228,8 +209,8 @@ func (c Config) runCells(id string, cells []engine.Cell) ([]engine.CellResult, [
 	defer obs.SweepEnd()
 	opts := sweep.Options{Engine: engine.Options{Workers: c.Workers}, Shard: c.shard()}
 	if err := c.Validate(); err != nil {
-		// A misconfigured shard silently claims zero groups; running the
-		// sweep unsharded (and saying so) is strictly more useful. Only the
+		// A misconfigured shard would run leaseless or not at all; running
+		// the sweep unsharded (and saying so) is strictly more useful. Only the
 		// sharding knobs are dropped — checkpointing (SweepDir/Resume) keeps
 		// working, so a long degraded run still resumes after a crash.
 		c.warnf("experiments: %s: %v (running unsharded)", id, err)
@@ -268,8 +249,8 @@ func (c Config) runCells(id string, cells []engine.Cell) ([]engine.CellResult, [
 		// A per-worker accounting line (on the warning stream, the only side
 		// channel next to the shared tables): how the fleet's work actually
 		// split. CI smoke jobs assert on it.
-		c.warnf("experiments: %s: worker %s executed %d cells, restored %d (claimed %d groups, stole %d, reclaimed %d leases)",
-			id, opts.Shard.Owner, stats.Executed, stats.Restored, stats.GroupsClaimed, stats.GroupsStolen, stats.LeasesReclaimed)
+		c.warnf("experiments: %s: worker %s executed %d cells, restored %d (claimed %d groups, reclaimed %d leases)",
+			id, opts.Shard.Owner, stats.Executed, stats.Restored, stats.GroupsClaimed, stats.LeasesReclaimed)
 	}
 	return results, stats.Groups
 }

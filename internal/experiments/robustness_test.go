@@ -192,13 +192,13 @@ func TestE14ShardedByteIdentical(t *testing.T) {
 	}
 }
 
-// TestConfigValidate covers the up-front validation (the silent-empty-table
-// bug class: a shard index outside [0, Shards) used to claim zero groups).
+// TestConfigValidate covers the up-front validation of every knob a front
+// end can set.
 func TestConfigValidate(t *testing.T) {
 	good := []Config{
 		{},
 		{Seeds: 3, MaxEvents: 100},
-		{Shards: 2, ShardIndex: 1, SweepDir: "x", Resume: true},
+		{SweepDir: "x", ShardOwner: "w1", LeaseTTL: time.Minute},
 		{Adversary: "crash(2)"},
 		{Coordinator: "http://localhost:9340", ShardOwner: "w1", Resume: true},
 	}
@@ -211,13 +211,9 @@ func TestConfigValidate(t *testing.T) {
 		cfg  Config
 		want string
 	}{
-		{Config{Shards: 2, ShardIndex: 2}, "ShardIndex must be in [0, 2)"},
-		{Config{Shards: 2, ShardIndex: 5}, "ShardIndex must be in [0, 2)"},
-		{Config{Shards: 2, ShardIndex: -1}, "ShardIndex must be in [0, 2)"},
-		{Config{ShardIndex: 1}, "requires Shards > 1"},
-		{Config{Shards: -1}, "Shards must be non-negative"},
 		{Config{ShardOwner: "w"}, "ShardOwner requires SweepDir"},
 		{Config{LeaseTTL: -1}, "LeaseTTL must be non-negative"},
+		{Config{LeaseTTL: time.Minute}, "LeaseTTL requires ShardOwner"},
 		{Config{Resume: true}, "Resume requires SweepDir"},
 		{Config{SweepDir: "x", Coordinator: "http://localhost:9340"}, "mutually exclusive"},
 		{Config{Coordinator: "localhost:9340"}, "coordinator URL must be http(s)"},
@@ -247,10 +243,12 @@ func TestConfigValidateRejectsLeaseTTLBeyondHorizon(t *testing.T) {
 }
 
 // TestRunCellsDegradesOnInvalidShardConfig: a driver handed an invalid shard
-// index must not render an empty table — it warns and runs unsharded.
+// config (a lease TTL past the horizon, which would fail every claim) must
+// still render its table — it warns and runs unsharded.
 func TestRunCellsDegradesOnInvalidShardConfig(t *testing.T) {
 	cfg := quickRobustCfg
-	cfg.Shards, cfg.ShardIndex = 2, 7 // invalid: index outside [0, 2)
+	cfg.SweepDir, cfg.ShardOwner = t.TempDir(), "w1"
+	cfg.LeaseTTL = sweep.MaxLeaseHorizon + time.Hour
 	var warnings []string
 	cfg.Warnf = func(format string, args ...any) {
 		warnings = append(warnings, fmt.Sprintf(format, args...))
@@ -261,7 +259,7 @@ func TestRunCellsDegradesOnInvalidShardConfig(t *testing.T) {
 	}
 	found := false
 	for _, w := range warnings {
-		if strings.Contains(w, "ShardIndex must be in [0, 2)") {
+		if strings.Contains(w, "lease horizon") && strings.Contains(w, "running unsharded") {
 			found = true
 		}
 	}

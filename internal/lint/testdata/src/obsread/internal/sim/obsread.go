@@ -25,7 +25,7 @@ func write(seconds float64) {
 	obs.Warnf("sim", "corrupt record %d skipped", 7)
 	obs.SweepBegin("E5", "w1")
 	obs.SweepGroups(10)
-	obs.SweepGroupClaimed(false)
+	obs.SweepGroupClaimed()
 	obs.SweepCells(4, 2)
 	obs.SweepAdaptive("g", 3, 0.5, false)
 	obs.SweepGroupDone()

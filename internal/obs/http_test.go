@@ -61,8 +61,8 @@ func TestProgressEndpointLiveSweep(t *testing.T) {
 	SweepBegin("E13", "w1")
 	defer SweepEnd()
 	SweepGroups(4)
-	SweepGroupClaimed(false)
-	SweepGroupClaimed(true) // stolen
+	SweepGroupClaimed()
+	SweepGroupClaimed()
 	SweepGroupDone()
 	SweepLeaseReclaimed()
 	SweepCells(10, 3)
@@ -84,7 +84,7 @@ func TestProgressEndpointLiveSweep(t *testing.T) {
 	if s.Experiment != "E13" || s.Owner != "w1" {
 		t.Fatalf("sweep identity = %q/%q", s.Experiment, s.Owner)
 	}
-	if s.TotalGroups != 4 || s.GroupsClaimed != 2 || s.GroupsStolen != 1 || s.GroupsDone != 1 || s.LeasesReclaimed != 1 {
+	if s.TotalGroups != 4 || s.GroupsClaimed != 2 || s.GroupsDone != 1 || s.LeasesReclaimed != 1 {
 		t.Fatalf("group counters wrong: %+v", s)
 	}
 	if s.CellsExecuted != 10 || s.CellsRestored != 3 {

@@ -33,7 +33,6 @@ type SweepState struct {
 	TotalGroups     int    `json:"total_groups"`
 	GroupsClaimed   int    `json:"groups_claimed"`
 	GroupsDone      int    `json:"groups_done"`
-	GroupsStolen    int    `json:"groups_stolen"`
 	LeasesReclaimed int    `json:"leases_reclaimed"`
 	CellsExecuted   int64  `json:"cells_executed"`
 	CellsRestored   int64  `json:"cells_restored"`
@@ -143,15 +142,9 @@ func SweepGroups(total int) {
 	updateActive(func(s *SweepState) { s.TotalGroups = total })
 }
 
-// SweepGroupClaimed counts one group lease claim (stolen marks a
-// work-stealing claim of another owner's leftover group). Write API.
-func SweepGroupClaimed(stolen bool) {
-	updateActive(func(s *SweepState) {
-		s.GroupsClaimed++
-		if stolen {
-			s.GroupsStolen++
-		}
-	})
+// SweepGroupClaimed counts one group lease claim. Write API.
+func SweepGroupClaimed() {
+	updateActive(func(s *SweepState) { s.GroupsClaimed++ })
 }
 
 // SweepGroupDone counts one completed group. Write API.

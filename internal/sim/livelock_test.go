@@ -99,6 +99,11 @@ func TestLivelockDetectionDeterministic(t *testing.T) {
 		t.Fatalf("two identical runs diverged: (%v, %d, %g) vs (%v, %d, %g)",
 			a.Outcome, a.Events, a.TotalDistance, b.Outcome, b.Events, b.TotalDistance)
 	}
+	for i, r := range []Result{a, b} {
+		if r.LivelockTrace == nil {
+			t.Fatalf("run %d ended %v after %d events without a livelock trace", i+1, r.Outcome, r.Events)
+		}
+	}
 	if a.LivelockTrace.Len() != b.LivelockTrace.Len() {
 		t.Fatalf("snippet lengths diverged: %d vs %d", a.LivelockTrace.Len(), b.LivelockTrace.Len())
 	}

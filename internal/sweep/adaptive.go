@@ -103,12 +103,9 @@ type cellGroup struct {
 	// initial holds the group's input replicas, in input order; nextReplica
 	// derives the extras from the first.
 	initial []engine.Cell
-	// foreign marks a group outside this worker's static share.
-	foreign bool
 
 	// final is the group's closed trajectory, results collected; nil while
-	// the group is open, and for a static shard's foreign group the store
-	// does not hold whole.
+	// the group is open.
 	final *adaptiveProgress
 }
 

@@ -124,31 +124,25 @@ func (g *cellGroup) eval(ad Adaptive, h history, collect bool) adaptiveProgress 
 
 // assemble lays a run's results out in round order — the input cells in
 // input order, then round by round one extra replica per group still open
-// in that round, groups in first-seen order — and completes stats. Input
-// cells keep their input position as Index; extras are numbered on from
-// len(cells). A group whose trajectory was not collected (a static shard's
-// foreign group the store holds only in part) contributes just the input
-// replicas the history knows.
-func assemble(cells []engine.Cell, groups, of []*cellGroup, h history, ad Adaptive, stats *Stats, execRestored int) []engine.CellResult {
-	out := make([]engine.CellResult, 0, len(cells))
+// in that round, groups in first-seen order — and completes stats. Every
+// group is closed when either loop returns. of maps each input cell to its
+// group; input cells keep their input position as Index, and extras are
+// numbered on from len(of).
+func assemble(groups, of []*cellGroup, ad Adaptive, stats *Stats, execRestored int) []engine.CellResult {
+	out := make([]engine.CellResult, 0, len(of))
 	next := make(map[*cellGroup]int, len(groups))
 	for i, g := range of {
-		if g.final != nil {
-			r := g.final.results[next[g]]
-			next[g]++
-			r.Index = i
-			out = append(out, r)
-		} else if st, ok := h.lookup(cells[i].Key()); ok {
-			out = append(out, st.result(i, cells[i]))
-		}
+		r := g.final.results[next[g]]
+		next[g]++
+		r.Index = i
+		out = append(out, r)
 	}
-	extra := len(cells) - len(out) // Index of an extra: extra + len(out)
 	for round, emitted := 0, true; emitted; round++ {
 		emitted = false
 		for _, g := range groups {
-			if k := len(g.initial) + round; g.final != nil && k < len(g.final.results) {
+			if k := len(g.initial) + round; k < len(g.final.results) {
 				r := g.final.results[k]
-				r.Index = extra + len(out)
+				r.Index = len(out)
 				out = append(out, r)
 				emitted = true
 			}
@@ -164,14 +158,12 @@ func assemble(cells []engine.Cell, groups, of []*cellGroup, h history, ad Adapti
 	}
 	if ad != (Adaptive{}) {
 		for _, g := range groups {
-			if g.final != nil {
-				stats.Groups = append(stats.Groups, GroupSeeds{
-					Key:       g.key,
-					Seeds:     g.final.seeds,
-					HalfWidth: g.final.halfWidth,
-					Converged: g.final.halfWidth <= ad.TargetCI,
-				})
-			}
+			stats.Groups = append(stats.Groups, GroupSeeds{
+				Key:       g.key,
+				Seeds:     g.final.seeds,
+				HalfWidth: g.final.halfWidth,
+				Converged: g.final.halfWidth <= ad.TargetCI,
+			})
 		}
 	}
 	return out
@@ -179,8 +171,7 @@ func assemble(cells []engine.Cell, groups, of []*cellGroup, h history, ad Adapti
 
 // runClaims is the claim loop: one worker of a cooperative fleet that
 // shares opts.Store. Cell groups are claimed through the store backend's
-// leases (own static share first, then — with Shard.Steal — foreign tail
-// groups); the claiming worker merges the fleet's stored history, runs the
+// leases; the claiming worker merges the fleet's stored history, runs the
 // group's next block of replicas, re-evaluates the stopping rule against the
 // merged history, and repeats until the group closes. Groups closed by peers
 // are collected lease-free from the store, and the loop polls until every
@@ -221,7 +212,7 @@ func runClaims(cells []engine.Cell, opts Options) ([]engine.CellResult, Stats) {
 	// attemptRun claims one open group and runs it to closure. It reports
 	// whether this worker made progress on the group (claimed it, or closed
 	// it leaselessly); false means a peer holds a fresh lease.
-	attemptRun := func(g *cellGroup, stealing bool) bool {
+	attemptRun := func(g *cellGroup) bool {
 		status, err := b.TryClaim(g.key, sh.Owner, sh.TTL)
 		leased := err == nil
 		switch {
@@ -247,10 +238,7 @@ func runClaims(cells []engine.Cell, opts Options) ([]engine.CellResult, Stats) {
 		_, _ = store.Reload()
 		pr := g.eval(ad, h, false)
 		if !pr.closed {
-			obs.SweepGroupClaimed(stealing)
-			if stealing {
-				obsGroupSteals.Inc()
-			}
+			obs.SweepGroupClaimed()
 			var stopHB func()
 			if leased {
 				stopHB = heartbeatLoop(sh.TTL/3, func() (bool, error) {
@@ -274,9 +262,6 @@ func runClaims(cells []engine.Cell, opts Options) ([]engine.CellResult, Stats) {
 				stopHB()
 			}
 			stats.GroupsClaimed++
-			if stealing {
-				stats.GroupsStolen++
-			}
 			obs.SweepGroupDone()
 		}
 		// A group that turned out closed after the claim (a peer finished it
@@ -292,7 +277,6 @@ func runClaims(cells []engine.Cell, opts Options) ([]engine.CellResult, Stats) {
 
 	for {
 		progress := false
-		ranMine := false
 		for _, g := range groups {
 			if g.final != nil {
 				continue
@@ -309,26 +293,8 @@ func runClaims(cells []engine.Cell, opts Options) ([]engine.CellResult, Stats) {
 				progress = true
 				continue
 			}
-			if !sh.mine(g.key) {
-				continue
-			}
-			if attemptRun(g, false) {
+			if attemptRun(g) {
 				progress = true
-				ranMine = true
-			}
-		}
-		// Work stealing: a worker whose static share is drained claims
-		// unclaimed or expired foreign tail groups instead of idling. Fresh
-		// foreign leases are still respected — the lease layer arbitrates,
-		// stealing only widens which groups this worker is willing to claim.
-		if sh.Steal && sh.Shards > 1 && !ranMine {
-			for _, g := range groups {
-				if g.final != nil || sh.mine(g.key) {
-					continue
-				}
-				if attemptRun(g, true) {
-					progress = true
-				}
 			}
 		}
 		if adaptive {
@@ -344,7 +310,7 @@ func runClaims(cells []engine.Cell, opts Options) ([]engine.CellResult, Stats) {
 		_, _ = store.Reload()
 	}
 
-	out := assemble(cells, groups, of, h, ad, &stats, execRestored)
+	out := assemble(groups, of, ad, &stats, execRestored)
 	stats.GroupsSkipped = len(groups) - stats.GroupsClaimed
 	return out, stats
 }

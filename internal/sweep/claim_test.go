@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -247,261 +246,6 @@ func TestRunAdaptiveShardedResumesStoreWithoutStateRecords(t *testing.T) {
 		t.Fatalf("Restored = %d, want %d", stats.Restored, len(wantRes))
 	}
 	sameAdaptiveRun(t, "late joiner", res, wantRes, infos, wantInfos)
-}
-
-// emptyShardIndex finds a static shard index that owns none of the cell
-// groups (with more shards than groups one always exists), so tests can pin
-// the behavior of a worker whose own partition is empty.
-func emptyShardIndex(t *testing.T, cells []engine.Cell, shards int) int {
-	t.Helper()
-	owned := make(map[int]bool)
-	for _, c := range cells {
-		owned[int(shardHash(GroupKey(c))%uint64(shards))] = true
-	}
-	for idx := 0; idx < shards; idx++ {
-		if !owned[idx] {
-			return idx
-		}
-	}
-	t.Fatalf("no empty shard index among %d shards", shards)
-	return -1
-}
-
-// TestRunShardedStealsTailGroups pins lease-aware work stealing on the fixed
-// grid; see stealsTailGroups.
-func TestRunShardedStealsTailGroups(t *testing.T) { stealsTailGroups(t, fixedMode) }
-
-// TestRunAdaptiveShardedStealsTailGroups pins the same stealing contract on
-// the adaptive grid.
-func TestRunAdaptiveShardedStealsTailGroups(t *testing.T) { stealsTailGroups(t, adaptiveMode) }
-
-// stealsTailGroups: a worker whose static share is empty — the extreme
-// "drained partition" — must, with Steal set, claim and complete every tail
-// group's full trajectory instead of waiting forever, byte-identical to the
-// solo run.
-func stealsTailGroups(t *testing.T, m sweepMode) {
-	cells := m.cells()
-	wantRes, wantInfos := m.reference()
-
-	shards := 32 // more shards than groups: an empty share must exist
-	idx := emptyShardIndex(t, cells, shards)
-
-	dir := t.TempDir()
-	st, err := OpenShared(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	sh := fastShard("thief")
-	sh.Shards, sh.Index, sh.Steal = shards, idx, true
-	res, stats := Run(cells, Options{Store: st, Adaptive: m.ad, Shard: sh})
-	if stats.GroupsStolen == 0 {
-		t.Fatal("empty-share worker stole no groups")
-	}
-	if stats.GroupsStolen != stats.GroupsClaimed {
-		t.Fatalf("GroupsStolen = %d, GroupsClaimed = %d; every claimed group lay outside the share", stats.GroupsStolen, stats.GroupsClaimed)
-	}
-	if stats.Executed != len(wantRes) {
-		t.Fatalf("Executed = %d, want %d", stats.Executed, len(wantRes))
-	}
-	sameAdaptiveRun(t, "thief", res, wantRes, stats.Groups, wantInfos)
-}
-
-// TestRunShardedStaticPartition pins static sharding of a fixed grid without
-// a store; see staticPartition.
-func TestRunShardedStaticPartition(t *testing.T) { staticPartition(t, fixedMode) }
-
-// TestRunAdaptiveShardedStaticPartition pins static sharding of an adaptive
-// grid without a store.
-func TestRunAdaptiveShardedStaticPartition(t *testing.T) { staticPartition(t, adaptiveMode) }
-
-// staticPartition: with no owner and no shared anything, each of two shards
-// runs the full trajectory of exactly its own groups and leaves foreign
-// cells out of its result; the shards cover every replica of the solo run
-// exactly once, with identical results, and their group schedules union to
-// the solo schedule.
-func staticPartition(t *testing.T, m sweepMode) {
-	cells := m.cells()
-	wantRes, wantInfos := m.reference()
-	wantByKey := make(map[string]engine.CellResult)
-	for _, r := range wantRes {
-		wantByKey[r.Cell.Key()] = r
-	}
-	infoByKey := make(map[string]GroupSeeds)
-	for _, info := range wantInfos {
-		infoByKey[info.Key] = info
-	}
-
-	covered := make(map[string]int)
-	seen := make(map[string]int)
-	groups := 0
-	for idx := 0; idx < 2; idx++ {
-		res, stats := Run(cells, Options{Adaptive: m.ad, Shard: Shard{Shards: 2, Index: idx}})
-		if stats.Restored != 0 {
-			t.Fatalf("shard %d restored %d cells without a store", idx, stats.Restored)
-		}
-		if m.ad != (Adaptive{}) && stats.GroupsClaimed != len(stats.Groups) {
-			t.Fatalf("shard %d claimed %d groups but reported %d schedules", idx, stats.GroupsClaimed, len(stats.Groups))
-		}
-		groups = stats.GroupsClaimed + stats.GroupsSkipped
-		for _, r := range res {
-			key := r.Cell.Key()
-			covered[key]++
-			sameResult(t, fmt.Sprintf("shard %d cell %s", idx, key), r, wantByKey[key])
-		}
-		for _, info := range stats.Groups {
-			seen[info.Key]++
-			if want := infoByKey[info.Key]; !reflect.DeepEqual(info, want) {
-				t.Fatalf("shard %d group %s schedule %+v, want %+v", idx, info.Key, info, want)
-			}
-		}
-	}
-	if len(covered) != len(wantRes) {
-		t.Fatalf("shards covered %d replicas, want %d", len(covered), len(wantRes))
-	}
-	for key, n := range covered {
-		if n != 1 {
-			t.Fatalf("replica %s covered by %d shards, want exactly 1", key, n)
-		}
-	}
-	if len(seen) != len(wantInfos) {
-		t.Fatalf("shards reported %d group schedules, want %d", len(seen), len(wantInfos))
-	}
-	if groups == 0 {
-		t.Fatal("static shards reported no groups")
-	}
-}
-
-// TestStaticShardWithoutStoreReturnsOwnCells pins what a storeless static
-// shard of a fixed grid returns: exactly the cells of its own groups, in
-// input order, each with its input position as Index.
-func TestStaticShardWithoutStoreReturnsOwnCells(t *testing.T) {
-	cells := smallCells(2)
-	want := engine.Run(cells, engine.Options{})
-	for idx := 0; idx < 2; idx++ {
-		shard := Shard{Shards: 2, Index: idx}
-		res, _ := Run(cells, Options{Shard: shard})
-		var mine []int
-		for i, c := range cells {
-			if shard.mine(GroupKey(c)) {
-				mine = append(mine, i)
-			}
-		}
-		if len(mine) == 0 || len(mine) == len(cells) {
-			t.Fatalf("shard %d owns %d of %d cells; the grid does not split", idx, len(mine), len(cells))
-		}
-		if len(res) != len(mine) {
-			t.Fatalf("shard %d returned %d cells, want its own %d", idx, len(res), len(mine))
-		}
-		for k, i := range mine {
-			if res[k].Index != i || res[k].Cell.Key() != cells[i].Key() {
-				t.Fatalf("shard %d result %d is cell %s (index %d), want %s (index %d)",
-					idx, k, res[k].Cell.Key(), res[k].Index, cells[i].Key(), i)
-			}
-			sameResult(t, fmt.Sprintf("shard %d cell %d", idx, i), res[k], want[i])
-		}
-	}
-}
-
-// TestStaticShardMergesPartialForeignGroup pins the static-shard merge rule
-// on a shared store: a foreign group's input replicas merge cell by cell
-// (the stored one is restored, the missing one is absent from the result),
-// but its extra replicas merge only from a closed trajectory — so a foreign
-// group the store holds completely merges whole, in round order, while a
-// partially stored one contributes just its stored input replica and no
-// schedule. Input replicas keep their input position as Index, and extras
-// are numbered on from the input's length.
-func TestStaticShardMergesPartialForeignGroup(t *testing.T) {
-	cells := adaptiveShardCells()
-	ad := tightAdaptive()
-	wantRes, wantInfos, _ := runAdaptive(cells, Options{}, ad)
-
-	// Pick the shard index with at least two foreign groups: the one with
-	// the longest trajectory is stored completely, another partially.
-	seedsOf := make(map[string]int)
-	for _, info := range wantInfos {
-		seedsOf[info.Key] = info.Seeds
-	}
-	groups, _ := groupCells(cells)
-	var shard Shard
-	var foreign []string
-	for idx := 0; idx < 2 && len(foreign) < 2; idx++ {
-		shard, foreign = Shard{Shards: 2, Index: idx}, foreign[:0]
-		for _, g := range groups {
-			if !shard.mine(g.key) {
-				foreign = append(foreign, g.key)
-			}
-		}
-	}
-	if len(foreign) < 2 {
-		t.Fatal("no shard index with two foreign groups")
-	}
-	sort.SliceStable(foreign, func(a, b int) bool { return seedsOf[foreign[a]] > seedsOf[foreign[b]] })
-	whole, partial := foreign[0], foreign[1]
-	if seedsOf[whole] <= len(cells)/len(groups) {
-		t.Fatalf("no foreign group grows past its input replicas (%v)", seedsOf)
-	}
-
-	dir := t.TempDir()
-	st, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	stored := make(map[string]bool)
-	havePartial := false
-	for _, r := range wantRes {
-		gk := GroupKey(r.Cell)
-		if gk == partial && !havePartial {
-			havePartial = true
-		} else if gk != whole {
-			continue
-		}
-		if err := st.Append(r.Cell.Key(), r); err != nil {
-			t.Fatal(err)
-		}
-		stored[r.Cell.Key()] = true
-	}
-
-	res, stats := Run(cells, Options{Store: st, Adaptive: ad, Shard: shard})
-	if stats.Restored != len(stored) {
-		t.Fatalf("Restored = %d, want %d (the stored foreign replicas)", stats.Restored, len(stored))
-	}
-	// Expected: the solo order without the unstored foreign replicas.
-	var want []engine.CellResult
-	var wantIndex []int
-	extras := 0
-	for i, r := range wantRes {
-		if !shard.mine(GroupKey(r.Cell)) && !stored[r.Cell.Key()] {
-			continue
-		}
-		want = append(want, r)
-		if i < len(cells) {
-			wantIndex = append(wantIndex, i)
-		} else {
-			wantIndex = append(wantIndex, len(cells)+extras)
-			extras++
-		}
-	}
-	if len(res) != len(want) {
-		t.Fatalf("%d results, want %d", len(res), len(want))
-	}
-	for i := range want {
-		if res[i].Index != wantIndex[i] || res[i].Cell.Key() != want[i].Cell.Key() {
-			t.Fatalf("result %d is cell %s (index %d), want %s (index %d)",
-				i, res[i].Cell.Key(), res[i].Index, want[i].Cell.Key(), wantIndex[i])
-		}
-		sameResult(t, fmt.Sprintf("result %d", i), res[i], want[i])
-	}
-	var wantGroups []GroupSeeds
-	for _, info := range wantInfos {
-		if info.Key == whole || shard.mine(info.Key) {
-			wantGroups = append(wantGroups, info)
-		}
-	}
-	if !reflect.DeepEqual(stats.Groups, wantGroups) {
-		t.Fatalf("group schedules:\n%+v\nwant\n%+v", stats.Groups, wantGroups)
-	}
 }
 
 // TestRunAdaptiveShardedSoloMatchesRunAdaptive pins the degenerate fleet: one

@@ -11,23 +11,20 @@
 //     until the 95% confidence interval half-width of its event count is
 //     tight enough, or a cap is reached. The zero value is a fixed grid.
 //   - Sharding (Options.Shard): multi-process (or multi-host, over a shared
-//     filesystem or a gatherd coordinator) sweeps. Static shards partition
-//     the cell groups by a stable hash. Cooperative workers claim cell
-//     groups through leases in the store's backend (on a filesystem, lease
-//     generation files with owner id and expiry timestamp, each published by
-//     exclusive create), heartbeat them while running, skip groups
-//     completed in the store or freshly leased by peers, and reclaim expired
-//     leases so a killed worker's cells re-run.
-//     With Shard.Steal, a worker that drains its static share claims
-//     unclaimed or expired tail groups outside it instead of idling.
+//     filesystem or a gatherd coordinator) sweeps. Cooperative workers claim
+//     cell groups through leases in the store's backend (on a filesystem,
+//     lease generation files with owner id and expiry timestamp, each
+//     published by exclusive create), heartbeat them while running, skip
+//     groups completed in the store or freshly leased by peers, and reclaim
+//     expired leases so a killed worker's cells re-run. Leases are the only
+//     way to split a sweep.
 //
 // Run picks one of two loops from its input, never from a flag. The round
-// loop serves solo and static-shard runs: one round of the input cells, then
-// one round of extra replicas per still-open group at a time; a fixed grid
-// is exactly one round. The claim loop serves cooperative workers (a
-// Shard.Owner and a Store): any worker can claim a group, run its next block
-// of replicas, and re-evaluate the stopping rule against the merged
-// cross-worker history. Both loops walk a group's seed trajectory with the
+// loop serves solo runs: one round of the input cells, then one round of
+// extra replicas per still-open group at a time; a fixed grid is exactly
+// one round. The claim loop serves every fleet (a Shard.Owner and a Store):
+// any worker can claim a group, run its next block of replicas, and
+// re-evaluate the stopping rule against the merged cross-worker history. Both loops walk a group's seed trajectory with the
 // same cellGroup.eval — a deterministic function of the per-replica results
 // the run knows, its own over the store's — and lay out their results in the
 // same round order. The store is the only copy of that state; a running

@@ -29,8 +29,8 @@ func CheckMedium(dir, coordinator, owner string) error {
 // OpenStore opens the store a front end's settings name: the sweep
 // directory dir, or the store named store on the gatherd coordinator at
 // coordinator. With neither it returns a nil store and no error: the sweep
-// runs in memory. A coordinator store, or a directory opened by a sharded
-// worker (sh.Owner or sh.Shards > 1), is opened shared and always resumes —
+// runs in memory. A coordinator store, or a directory opened by a fleet
+// worker (sh.Owner set), is opened shared and always resumes —
 // peers may be appending, and the record log is fleet state that no single
 // worker may reset. Otherwise the directory is opened exclusively and reset
 // unless resume is set. The warnings are the problems met while loading the
@@ -54,7 +54,7 @@ func OpenStore(dir, coordinator, store string, resume bool, sh sweep.Shard) (*sw
 	if dir == "" {
 		return nil, nil, nil
 	}
-	sharded := sh.Owner != "" || sh.Shards > 1
+	sharded := sh.Owner != ""
 	open := sweep.Open
 	if sharded {
 		open = sweep.OpenShared

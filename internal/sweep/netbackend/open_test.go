@@ -31,13 +31,13 @@ func TestOpenStoreRejectsBadMedia(t *testing.T) {
 			t.Fatalf("%s: OpenStore = (%v, %v), want an error containing %q", tc.name, st, err, tc.want)
 		}
 	}
-	if st, warnings, err := netbackend.OpenStore("", "", "s", true, sweep.Shard{Shards: 2}); st != nil || warnings != nil || err != nil {
+	if st, warnings, err := netbackend.OpenStore("", "", "s", true, sweep.Shard{}); st != nil || warnings != nil || err != nil {
 		t.Fatalf("no medium: OpenStore = (%v, %v, %v), want an in-memory run", st, warnings, err)
 	}
 }
 
 // TestOpenStoreResetsOnlyExclusiveFreshRuns: a sweep directory keeps its
-// records when resuming or when opened by a sharded worker, and is reset
+// records when resuming or when opened by a fleet worker, and is reset
 // otherwise; load warnings come back either way.
 func TestOpenStoreResetsOnlyExclusiveFreshRuns(t *testing.T) {
 	cells := engine.Batch{Workloads: []workload.Kind{workload.KindClustered}, Ns: []int{3}, Seeds: 1, MaxEvents: 200}.Cells()
@@ -50,7 +50,6 @@ func TestOpenStoreResetsOnlyExclusiveFreshRuns(t *testing.T) {
 	}{
 		{"fresh", false, sweep.Shard{}, false},
 		{"resume", true, sweep.Shard{}, true},
-		{"static shard", false, sweep.Shard{Shards: 2}, true},
 		{"cooperative worker", false, sweep.Shard{Owner: "w1"}, true},
 	}
 	for _, tc := range cases {

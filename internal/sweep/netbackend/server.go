@@ -3,6 +3,7 @@ package netbackend
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -36,6 +37,21 @@ var (
 	obsAppends  = obs.NewCounter("fatgather_gatherd_records_appended_total")
 	obsLeases   = obs.NewGauge("fatgather_gatherd_active_leases")
 	obsStores   = obs.NewGauge("fatgather_gatherd_stores")
+)
+
+// Request body limits. Bodies past them are answered 413 before anything is
+// buffered beyond the limit. Both are sized from a full gatherbench suite with
+// every adaptive group grown to the default 32-seed cap: its largest record
+// (an E9/E13 cell with a livelock trace) was 112 KB, and its largest store
+// (E13) was 6.2 MB.
+const (
+	// MaxRecordBytes bounds one appended record line (POST .../records).
+	MaxRecordBytes = 4 << 20
+	// MaxLogBytes bounds a replacement record log (PUT .../records). The
+	// workers of this module only ever replace a log with an empty one (a
+	// version-mismatch discard or a reset), so this limit is for other
+	// clients.
+	MaxLogBytes = 64 << 20
 )
 
 // storeNameRE bounds store names to one safe path component: they name
@@ -77,12 +93,15 @@ type Server struct {
 	stores map[string]*storeState
 	dir    string // persistence root; "" keeps everything in memory
 	now    func() time.Time
+	// maxRecord and maxLog are the body limits, MaxRecordBytes and
+	// MaxLogBytes.
+	maxRecord, maxLog int64
 }
 
 // NewServer creates a coordination server. A non-empty dir persists each
-// store's record log under dir/<store>/results.jsonl — the layout gatherbench
-// merge and a filesystem resume already understand — and reloads it on
-// restart; leases are kept in memory only (see storeState).
+// store's record log under dir/<store>/results.jsonl — the layout a
+// filesystem resume already understands — and reloads it on restart; leases
+// are kept in memory only (see storeState).
 func NewServer(dir string) (*Server, error) {
 	if dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -90,9 +109,11 @@ func NewServer(dir string) (*Server, error) {
 		}
 	}
 	return &Server{
-		stores: make(map[string]*storeState),
-		dir:    dir,
-		now:    time.Now,
+		stores:    make(map[string]*storeState),
+		dir:       dir,
+		now:       time.Now,
+		maxRecord: MaxRecordBytes,
+		maxLog:    MaxLogBytes,
 	}, nil
 }
 
@@ -112,13 +133,24 @@ func (s *Server) Close() error {
 	return first
 }
 
-// storeFor returns (creating if needed) a named store. Callers hold s.mu.
-func (s *Server) storeFor(name string) (*storeState, error) {
+// storeFor returns a named store, loading a persisted one on first use.
+// Without create, a store that exists neither in memory nor under dir is
+// answered with nil and nothing is created: only writes make a store.
+// Callers hold s.mu.
+func (s *Server) storeFor(name string, create bool) (*storeState, error) {
 	if err := CheckStoreName(name); err != nil {
 		return nil, err
 	}
 	if st, ok := s.stores[name]; ok {
 		return st, nil
+	}
+	if !create {
+		if s.dir == "" {
+			return nil, nil
+		}
+		if _, err := os.Stat(s.persistedPath(name)); os.IsNotExist(err) {
+			return nil, nil
+		}
 	}
 	st := &storeState{leases: make(map[string]leaseEntry)}
 	if s.dir != "" {
@@ -222,10 +254,11 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 // withStore resolves the {store} path value and runs fn under the server
-// mutex, translating name errors to 400.
-func (s *Server) withStore(w http.ResponseWriter, r *http.Request, fn func(st *storeState) error) {
+// mutex, translating name errors to 400. Writers pass create; for the others
+// fn receives nil when the store does not exist.
+func (s *Server) withStore(w http.ResponseWriter, r *http.Request, create bool, fn func(st *storeState) error) {
 	s.mu.Lock()
-	st, err := s.storeFor(r.PathValue("store"))
+	st, err := s.storeFor(r.PathValue("store"), create)
 	if err != nil {
 		s.mu.Unlock()
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -242,7 +275,7 @@ func (s *Server) withStore(w http.ResponseWriter, r *http.Request, fn func(st *s
 // FSBackend.ReadRecords, an offset beyond the current log (a worker that
 // outlived a coordinator restart, or a replaced log) rewinds to 0; the
 // X-Gatherd-Start header tells the worker where the returned bytes actually
-// begin so it can rescan.
+// begin so it can rescan. An unknown store reads as an empty log.
 func (s *Server) handleReadRecords(w http.ResponseWriter, r *http.Request) {
 	var off int64
 	if q := r.URL.Query().Get("off"); q != "" {
@@ -253,23 +286,42 @@ func (s *Server) handleReadRecords(w http.ResponseWriter, r *http.Request) {
 		}
 		off = v
 	}
-	s.withStore(w, r, func(st *storeState) error {
-		if off > int64(len(st.log)) {
+	s.withStore(w, r, false, func(st *storeState) error {
+		var log []byte
+		if st != nil {
+			log = st.log
+		}
+		if off > int64(len(log)) {
 			off = 0
 		}
 		w.Header().Set("X-Gatherd-Start", strconv.FormatInt(off, 10))
 		w.Header().Set("Content-Type", "application/octet-stream")
-		_, _ = w.Write(st.log[off:])
+		_, _ = w.Write(log[off:])
 		return nil
 	})
+}
+
+// readBody reads a request body of at most limit bytes. A larger body is
+// answered 413 and any other read error 400; either way ok is false.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		http.Error(w, fmt.Sprintf("gatherd: body exceeds %d bytes", limit), http.StatusRequestEntityTooLarge)
+		return nil, false
+	case err != nil:
+		http.Error(w, "gatherd: read body: "+err.Error(), http.StatusBadRequest)
+		return nil, false
+	}
+	return data, true
 }
 
 // handleAppendRecord appends one newline-terminated record line to the log
 // (and through to disk for persisted stores).
 func (s *Server) handleAppendRecord(w http.ResponseWriter, r *http.Request) {
-	line, err := io.ReadAll(r.Body)
-	if err != nil {
-		http.Error(w, "gatherd: read body: "+err.Error(), http.StatusBadRequest)
+	line, ok := readBody(w, r, s.maxRecord)
+	if !ok {
 		return
 	}
 	if len(line) == 0 || line[len(line)-1] != '\n' {
@@ -278,7 +330,7 @@ func (s *Server) handleAppendRecord(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "gatherd: record must be newline-terminated", http.StatusBadRequest)
 		return
 	}
-	s.withStore(w, r, func(st *storeState) error {
+	s.withStore(w, r, true, func(st *storeState) error {
 		if st.f != nil {
 			if _, err := st.f.Write(line); err != nil {
 				return fmt.Errorf("gatherd: persist record: %w", err)
@@ -293,13 +345,12 @@ func (s *Server) handleAppendRecord(w http.ResponseWriter, r *http.Request) {
 
 // handleReplaceRecords replaces the whole record log (compaction / reset).
 func (s *Server) handleReplaceRecords(w http.ResponseWriter, r *http.Request) {
-	data, err := io.ReadAll(r.Body)
-	if err != nil {
-		http.Error(w, "gatherd: read body: "+err.Error(), http.StatusBadRequest)
+	data, ok := readBody(w, r, s.maxLog)
+	if !ok {
 		return
 	}
 	name := r.PathValue("store")
-	s.withStore(w, r, func(st *storeState) error {
+	s.withStore(w, r, true, func(st *storeState) error {
 		if st.f != nil {
 			// Same discipline as FSBackend.rewrite: temp + rename, then move
 			// the append handle to the new inode.
@@ -364,7 +415,7 @@ func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	s.withStore(w, r, func(st *storeState) error {
+	s.withStore(w, r, true, func(st *storeState) error {
 		t := s.now()
 		status := "won"
 		if e, held := st.leases[req.Group]; held {
@@ -402,7 +453,7 @@ func (s *Server) handleRenew(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	s.withStore(w, r, func(st *storeState) error {
+	s.withStore(w, r, true, func(st *storeState) error {
 		w.Header().Set("Content-Type", "application/json")
 		if e, held := st.leases[req.Group]; held && e.owner != req.Owner {
 			fmt.Fprintln(w, `{"renewed":false}`)
@@ -422,10 +473,12 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	s.withStore(w, r, func(st *storeState) error {
-		if e, held := st.leases[req.Group]; held && e.owner == req.Owner {
-			delete(st.leases, req.Group)
-			s.activeLeases()
+	s.withStore(w, r, false, func(st *storeState) error {
+		if st != nil {
+			if e, held := st.leases[req.Group]; held && e.owner == req.Owner {
+				delete(st.leases, req.Group)
+				s.activeLeases()
+			}
 		}
 		w.WriteHeader(http.StatusNoContent)
 		return nil

@@ -6,7 +6,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -125,8 +127,10 @@ func leaseMalformed(path string, body []byte) bool {
 // request instead, whose query is "off=n" and whose body is a lease request
 // built from the fuzzed group, owner and TTL n. Whatever arrives, no handler
 // panics or answers 5xx; a malformed lease request gets 400 and leaves the
-// lease table unchanged; and every store's record log reads back exactly as
-// a model built from the accepted (204) appends and replaces.
+// lease table unchanged; /v1/status lists exactly the stores that an
+// accepted write (append, replace, claim or renew) named, so reads and
+// releases never create one; and every store's record log reads back
+// exactly as a model built from the accepted (204) appends and replaces.
 func FuzzServerHandlers(f *testing.F) {
 	minute := int64(time.Minute)
 	f.Add([]byte{4, 3, 6, 7, 8}, "s", "", []byte(`{"key":"x"}`+"\n"), "g", "w1", minute)
@@ -143,6 +147,7 @@ func FuzzServerHandlers(f *testing.F) {
 		}
 		h := srv.Handler()
 		model := make(map[string][]byte)
+		created := []string{}
 		structured, err := json.Marshal(leaseReq{Group: group, Owner: owner, TTLNanos: n})
 		if err != nil {
 			t.Fatal(err)
@@ -211,6 +216,14 @@ func FuzzServerHandlers(f *testing.F) {
 					t.Fatalf("request %d %s (status %d) changed the lease table: %+v, was %+v", i, label, rec.Code, got, leases)
 				}
 			}
+			write := rt.method != http.MethodGet && !strings.HasSuffix(rt.path, "/release")
+			if accepted && perStore && write && !slices.Contains(created, name) {
+				created = append(created, name)
+				slices.Sort(created)
+			}
+			if got := statusStores(t, h); !reflect.DeepEqual(got, created) {
+				t.Fatalf("request %d %s (status %d): /v1/status lists %q, want %q", i, label, rec.Code, got, created)
+			}
 		}
 		for name, want := range model {
 			rec := serve(t, h, http.MethodGet, "/v1/stores/"+name+"/records", "", nil)
@@ -219,6 +232,137 @@ func FuzzServerHandlers(f *testing.F) {
 			}
 		}
 	})
+}
+
+// statusStores returns the store names /v1/status lists.
+func statusStores(t *testing.T, h http.Handler) []string {
+	t.Helper()
+	rec := serve(t, h, http.MethodGet, "/v1/status", "", nil)
+	var status struct {
+		Stores []struct {
+			Name string `json:"name"`
+		} `json:"stores"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &status); err != nil {
+		t.Fatalf("/v1/status: %v: %q", err, rec.Body)
+	}
+	names := []string{}
+	for _, st := range status.Stores {
+		names = append(names, st.Name)
+	}
+	return names
+}
+
+// TestReadsCreateNoStore: reading the record log of a store nobody wrote
+// answers an empty log from offset 0 and creates nothing — no directory
+// under the persistence root, no /v1/status entry — while an append does
+// create its store.
+func TestReadsCreateNoStore(t *testing.T) {
+	dir := t.TempDir()
+	srv, err := NewServer(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	h := srv.Handler()
+	for _, name := range []string{"a1", "a2", "a3"} {
+		rec := serve(t, h, http.MethodGet, "/v1/stores/"+name+"/records", "off=5", nil)
+		if rec.Code != http.StatusOK || rec.Header().Get("X-Gatherd-Start") != "0" || rec.Body.Len() != 0 {
+			t.Fatalf("read of unknown store %s = %d from %q: %q, want an empty log from 0",
+				name, rec.Code, rec.Header().Get("X-Gatherd-Start"), rec.Body)
+		}
+	}
+	if rec := serve(t, h, http.MethodPost, "/v1/stores/a4/release", "", []byte(`{"group":"g","owner":"w1"}`)); rec.Code != http.StatusNoContent {
+		t.Fatalf("release on unknown store = %d", rec.Code)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 0 {
+		t.Fatalf("reads created %d entries under the store root", len(entries))
+	}
+	if got := statusStores(t, h); len(got) != 0 {
+		t.Fatalf("/v1/status lists %q after reads only", got)
+	}
+
+	if rec := serve(t, h, http.MethodPost, "/v1/stores/a1/records", "", []byte("line\n")); rec.Code != http.StatusNoContent {
+		t.Fatalf("append = %d", rec.Code)
+	}
+	if got := statusStores(t, h); !reflect.DeepEqual(got, []string{"a1"}) {
+		t.Fatalf("/v1/status lists %q after one append, want [a1]", got)
+	}
+}
+
+// TestReadLoadsPersistedStore: after a coordinator restart, a read of a store
+// that exists only on disk serves its log.
+func TestReadLoadsPersistedStore(t *testing.T) {
+	dir := t.TempDir()
+	srv, err := NewServer(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := []byte(`{"key":"c1"}` + "\n")
+	if rec := serve(t, srv.Handler(), http.MethodPost, "/v1/stores/s/records", "", line); rec.Code != http.StatusNoContent {
+		t.Fatalf("append = %d", rec.Code)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	restarted, err := NewServer(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restarted.Close()
+	if rec := serve(t, restarted.Handler(), http.MethodGet, "/v1/stores/s/records", "", nil); rec.Body.String() != string(line) {
+		t.Fatalf("restarted read = %d %q, want %q", rec.Code, rec.Body, line)
+	}
+}
+
+// TestOversizedBodiesRejected: an append past the record limit and a
+// replace past the log limit are answered 413 and change nothing, while a
+// body of exactly the limit is accepted. The limits are shrunk so the test
+// stays small; the routes read them the same way at MaxRecordBytes and
+// MaxLogBytes.
+func TestOversizedBodiesRejected(t *testing.T) {
+	srv, err := NewServer("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if srv.maxRecord != MaxRecordBytes || srv.maxLog != MaxLogBytes {
+		t.Fatalf("server limits %d/%d, want %d/%d", srv.maxRecord, srv.maxLog, MaxRecordBytes, MaxLogBytes)
+	}
+	srv.maxRecord, srv.maxLog = 64, 256
+	h := srv.Handler()
+	line := []byte(`{"key":"c1"}` + "\n")
+	if rec := serve(t, h, http.MethodPost, "/v1/stores/s/records", "", line); rec.Code != http.StatusNoContent {
+		t.Fatalf("append = %d", rec.Code)
+	}
+	body := func(n int64) []byte {
+		b := bytes.Repeat([]byte("x"), int(n))
+		b[n-1] = '\n'
+		return b
+	}
+	for _, tc := range []struct {
+		method string
+		limit  int64
+	}{
+		{http.MethodPost, srv.maxRecord},
+		{http.MethodPut, srv.maxLog},
+	} {
+		if rec := serve(t, h, tc.method, "/v1/stores/s/records", "", body(tc.limit+1)); rec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s of %d bytes = %d, want 413", tc.method, tc.limit+1, rec.Code)
+		}
+		if rec := serve(t, h, http.MethodGet, "/v1/stores/s/records", "", nil); rec.Body.String() != string(line) {
+			t.Fatalf("after an oversized %s the log reads %q, want %q", tc.method, rec.Body, line)
+		}
+	}
+	if rec := serve(t, h, http.MethodPost, "/v1/stores/s/records", "", body(srv.maxRecord)); rec.Code != http.StatusNoContent {
+		t.Fatalf("append at the limit = %d, want 204", rec.Code)
+	}
+	if rec := serve(t, h, http.MethodPut, "/v1/stores/s/records", "", body(srv.maxLog)); rec.Code != http.StatusNoContent {
+		t.Fatalf("replace at the limit = %d, want 204", rec.Code)
+	}
 }
 
 // checkRecords verifies one GET .../records response against the model log:

@@ -45,19 +45,14 @@ type Stats struct {
 
 	// The group counters below stay zero in a solo run.
 
-	// GroupsClaimed counts the cell groups this worker ran: the groups it
-	// claimed through a lease, or a static shard's own share.
+	// GroupsClaimed counts the cell groups this worker claimed and ran.
 	GroupsClaimed int
 	// GroupsSkipped counts the groups this worker did not run: completed or
-	// freshly leased by peers, or outside its static share.
+	// freshly leased by peers.
 	GroupsSkipped int
 	// LeasesReclaimed counts expired (or corrupt) leases this worker took
 	// over — each one is a dead peer's group being re-run.
 	LeasesReclaimed int
-	// GroupsStolen counts the claimed groups that lay outside this worker's
-	// static share (Shard.Steal): tail work taken over from the fleet once
-	// the worker's own share was drained. Always <= GroupsClaimed.
-	GroupsStolen int
 	// LeaseErrs counts groups whose lease could not be claimed or created at
 	// all (lease directory unwritable, I/O errors). Such groups run without
 	// a lease — liveness and correctness never depend on lease arbitration,
@@ -65,8 +60,7 @@ type Stats struct {
 	// duplicated work; Warnings reports it.
 	LeaseErrs int
 
-	// Groups records what adaptive scheduling did to every cell group this
-	// worker can account for (all of them unless statically sharded), in
+	// Groups records what adaptive scheduling did to every cell group, in
 	// first-seen order. It is nil for fixed grids.
 	Groups []GroupSeeds
 }
@@ -96,15 +90,13 @@ func (s Stats) Warnings() []string {
 // rule fires, and the results come in round order — the input cells, then
 // one extra replica per still-open group per round. Input cells keep their
 // input position as Index; extra replicas are numbered on from len(cells).
-// Options.Shard makes the call one worker of a sharded sweep. The input
-// picks the loop, never a flag:
+// Options.Shard makes the call one worker of a fleet. The input picks the
+// loop, never a flag:
 //
 //   - With Shard.Owner and a Store, the claim loop (runClaims) drains the
 //     whole sweep cooperatively through leases, and every worker returns
 //     the complete result set, byte-identical to a solo run.
-//   - Otherwise the round loop (runRounds) runs it: solo, or as a static
-//     shard (Shard.Shards > 1) that returns only the cells it ran or
-//     restored — its own groups, plus what the store holds of the others.
+//   - Otherwise the round loop (runRounds) runs it solo.
 //
 // Both loops walk a group's seed trajectory with the same cellGroup.eval
 // and lay out their results with the same assemble.
@@ -122,49 +114,23 @@ func Run(cells []engine.Cell, opts Options) ([]engine.CellResult, Stats) {
 	return runRounds(cells, opts)
 }
 
-// runRounds is the round loop behind solo and statically sharded runs. Each
-// round executes one batch of cells: the input cells first, then one extra
-// seed replica per still-open group, groups in first-seen order, until the
-// stopping rule closes every group. A fixed grid is exactly one round, and
-// a solo fixed grid does no grouping work at all.
-//
-// A static shard runs only its own groups. Of a foreign group it returns
-// the input replicas the store holds, and the extra replicas only once the
-// store holds the group's whole, closed trajectory.
+// runRounds is the round loop behind solo runs. Each round executes one
+// batch of cells: the input cells first, then one extra seed replica per
+// still-open group, groups in first-seen order, until the stopping rule
+// closes every group. A fixed grid is exactly one round, and does no
+// grouping work at all.
 func runRounds(cells []engine.Cell, opts Options) ([]engine.CellResult, Stats) {
 	ad := opts.Adaptive.withDefaults()
-	adaptive := ad != (Adaptive{})
-	static := opts.Shard.Shards > 1
-	if !adaptive && !static {
+	if ad == (Adaptive{}) {
 		return execute(cells, opts)
 	}
 	groups, of := groupCells(cells)
 	obs.SweepGroups(len(groups))
 	h := history{store: opts.Store, local: make(map[string]Stored)}
-	for _, g := range groups {
-		g.foreign = !opts.Shard.mine(g.key)
-		if !g.foreign {
-			continue
-		}
-		// Nothing this run executes belongs to a foreign group, so the
-		// store alone decides, once, whether its trajectory is closed.
-		if pr := g.eval(ad, h, true); pr.closed {
-			g.final = &pr
-			if adaptive {
-				obs.SweepAdaptive(g.key, pr.seeds, pr.halfWidth, true)
-			}
-		}
-	}
 
 	var stats Stats
 	execRestored := 0
-	pending := make([]engine.Cell, 0, len(cells))
-	for i, c := range cells {
-		if !of[i].foreign {
-			pending = append(pending, c)
-		}
-	}
-	for len(pending) > 0 {
+	for pending := cells; len(pending) > 0; {
 		res, st := execute(pending, opts)
 		stats.Executed += st.Executed
 		stats.AppendErrs += st.AppendErrs
@@ -178,13 +144,8 @@ func runRounds(cells []engine.Cell, opts Options) ([]engine.CellResult, Stats) {
 				closed++
 				continue
 			}
-			if g.foreign {
-				continue
-			}
 			pr := g.eval(ad, h, false)
-			if adaptive {
-				obs.SweepAdaptive(g.key, pr.seeds, pr.halfWidth, pr.closed)
-			}
+			obs.SweepAdaptive(g.key, pr.seeds, pr.halfWidth, pr.closed)
 			if pr.closed {
 				pr = g.eval(ad, h, true)
 				g.final = &pr
@@ -194,24 +155,11 @@ func runRounds(cells []engine.Cell, opts Options) ([]engine.CellResult, Stats) {
 			open++
 			pending = append(pending, pr.pending...)
 		}
-		if adaptive {
-			obsAdaptiveOpen.Set(float64(open))
-			obsAdaptiveClosed.Set(float64(closed))
-		}
+		obsAdaptiveOpen.Set(float64(open))
+		obsAdaptiveClosed.Set(float64(closed))
 	}
 
-	if static {
-		for _, g := range groups {
-			if g.foreign {
-				stats.GroupsSkipped++
-				continue
-			}
-			stats.GroupsClaimed++
-			obs.SweepGroupClaimed(false)
-			obs.SweepGroupDone()
-		}
-	}
-	out := assemble(cells, groups, of, h, ad, &stats, execRestored)
+	out := assemble(groups, of, ad, &stats, execRestored)
 	return out, stats
 }
 

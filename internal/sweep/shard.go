@@ -24,7 +24,6 @@ var (
 	obsLeaseClaims   = obs.NewCounter("fatgather_sweep_lease_claims_total")
 	obsLeaseRenewals = obs.NewCounter("fatgather_sweep_lease_renewals_total")
 	obsLeaseReclaims = obs.NewCounter("fatgather_sweep_lease_reclaims_total")
-	obsGroupSteals   = obs.NewCounter("fatgather_sweep_group_steals_total")
 )
 
 // Default lease-layer timing knobs (see Shard).
@@ -40,20 +39,11 @@ const (
 // leasesDir is the subdirectory of a sweep directory that holds lease files.
 const leasesDir = "leases"
 
-// Shard configures one worker of a multi-process sharded sweep. Two modes
-// compose:
-//
-//   - Cooperative (lease-based): Owner names this worker uniquely, and cell
-//     groups are claimed at run time through lease files in the shared sweep
-//     directory — whichever worker gets to a group first runs it, dead
-//     workers' leases expire and are reclaimed. Requires a Store (without
-//     one, Run ignores Owner).
-//   - Static: Shards/Index partition the cell groups up front by a stable
-//     hash; this worker only ever runs groups with hash%Shards == Index.
-//     Works without a shared store (each worker renders its own share).
-//
-// When both are set, the worker claims leases only inside its static share
-// and waits for peers to fill in the rest. The zero value is a solo run.
+// Shard makes a run one worker of a cooperative fleet that drains one
+// sweep through a shared store: cell groups are claimed at run time through
+// leases in the store's backend, whichever worker gets to a group first runs
+// it, and dead workers' leases expire and are reclaimed. It needs a Store
+// (without one, Run ignores Owner). The zero value is a solo run.
 type Shard struct {
 	// Owner is this worker's unique id (hostname+pid works well). Non-empty
 	// Owner enables cooperative lease-based claiming and makes the run drain
@@ -69,22 +59,6 @@ type Shard struct {
 	// re-tries claims while peers hold the remaining groups (default
 	// DefaultPoll).
 	Poll time.Duration
-	// Shards and Index configure static sharding: when Shards > 1, this
-	// worker only runs cell groups whose stable hash maps to Index
-	// (0 <= Index < Shards). Zero or one means no static partition.
-	Shards int
-	// Index is this worker's static shard index.
-	Index int
-	// Steal enables lease-aware work stealing in cooperative mode with a
-	// static partition: once this worker's own share has no claimable group
-	// left, it claims unclaimed or expired tail groups outside its share
-	// instead of idling until peers finish. Fresh foreign leases are still
-	// respected (the lease layer keeps arbitrating), so stolen groups run
-	// exactly once fleet-wide and results stay byte-identical — stealing
-	// changes who does the work, never what comes out. Requires Owner; a
-	// no-op without a static partition (every group is already this
-	// worker's).
-	Steal bool
 }
 
 func (sh Shard) withDefaults() Shard {
@@ -99,18 +73,9 @@ func (sh Shard) withDefaults() Shard {
 
 // Validate checks a worker's shard settings up front, so every front end
 // rejects the same combinations. RunBatch and experiments.Config expose
-// these settings under one set of names (ShardOwner, LeaseTTL, Shards,
-// ShardIndex, Steal), and the messages use them.
+// these settings under one set of names (ShardOwner, LeaseTTL), and the
+// messages use them.
 func (sh Shard) Validate() error {
-	if sh.Shards < 0 {
-		return fmt.Errorf("sweep: Shards must be non-negative, got %d", sh.Shards)
-	}
-	if sh.Shards > 1 && (sh.Index < 0 || sh.Index >= sh.Shards) {
-		return fmt.Errorf("sweep: ShardIndex must be in [0, %d), got %d", sh.Shards, sh.Index)
-	}
-	if sh.Index != 0 && sh.Shards <= 1 {
-		return fmt.Errorf("sweep: ShardIndex %d requires Shards > 1, got %d", sh.Index, sh.Shards)
-	}
 	if sh.TTL < 0 {
 		return fmt.Errorf("sweep: LeaseTTL must be non-negative, got %v", sh.TTL)
 	}
@@ -124,23 +89,12 @@ func (sh Shard) Validate() error {
 			return err
 		}
 	}
-	if sh.Steal && sh.Owner == "" {
-		return fmt.Errorf("sweep: Steal requires ShardOwner (stealing is arbitrated through leases)")
-	}
 	return nil
 }
 
-// mine reports whether a cell group falls in this worker's static share.
-func (sh Shard) mine(groupKey string) bool {
-	if sh.Shards <= 1 {
-		return true
-	}
-	return int(shardHash(groupKey)%uint64(sh.Shards)) == sh.Index
-}
-
-// shardHash maps a group key to a stable 64-bit hash, used both for static
-// shard assignment and for lease directory names. FNV-1a: stable across runs,
-// builds and hosts, which is what makes the static partition deterministic.
+// shardHash maps a group key to a stable 64-bit hash that names the group's
+// lease directory. FNV-1a: stable across runs, builds and hosts, so every
+// worker of a fleet derives the same name.
 func shardHash(groupKey string) uint64 {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(groupKey))

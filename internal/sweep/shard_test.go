@@ -187,34 +187,44 @@ func TestLeaseCorruptFileIsReclaimed(t *testing.T) {
 	}
 }
 
-// TestRunShardedStaticWithStoreMerges pins the static+store composition: a
-// second shard run over the same directory restores the first shard's cells
-// and completes the rest, ending with the full result set.
+// TestRunShardedStaticWithStoreMerges pins the migration path for a store
+// that a static shard of earlier versions wrote: it holds the records of
+// exactly the groups whose hash fell into the shard's share, and nothing
+// else. A lease worker joining it restores those cells, runs only the rest,
+// and returns the full result set.
 func TestRunShardedStaticWithStoreMerges(t *testing.T) {
 	cells := smallCells(1)
 	ref := engine.Run(cells, engine.Options{})
 	dir := t.TempDir()
 
-	st0, err := OpenShared(dir)
+	st0, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stats0 := Run(cells, Options{Store: st0, Shard: Shard{Shards: 2, Index: 0}})
-	st0.Close()
-	if stats0.Executed == 0 || stats0.Executed == len(cells) {
-		t.Fatalf("shard 0 executed %d of %d cells, want a strict subset", stats0.Executed, len(cells))
+	stored := 0
+	for i, c := range cells {
+		if shardHash(GroupKey(c))%2 == 0 { // shard 0 of a two-way split
+			if err := st0.Append(c.Key(), ref[i]); err != nil {
+				t.Fatal(err)
+			}
+			stored++
+		}
+	}
+	if err := st0.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if stored == 0 || stored == len(cells) {
+		t.Fatalf("shard 0 holds %d of %d cells, want a strict non-empty subset", stored, len(cells))
 	}
 
-	// Shard 1 (lease mode) waits for shard 0's share — which is already in
-	// the store — and runs only its own.
 	st1, err := OpenShared(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st1.Close()
-	res, stats1 := Run(cells, Options{Store: st1, Shard: Shard{Owner: "b", Shards: 2, Index: 1, TTL: 5 * time.Second, Poll: 5 * time.Millisecond}})
-	if stats1.Executed != len(cells)-stats0.Executed {
-		t.Fatalf("shard 1 executed %d cells, want %d", stats1.Executed, len(cells)-stats0.Executed)
+	res, stats := Run(cells, Options{Store: st1, Shard: fastShard("b")})
+	if stats.Executed != len(cells)-stored || stats.Restored != stored {
+		t.Fatalf("Executed = %d, Restored = %d, want %d and %d", stats.Executed, stats.Restored, len(cells)-stored, stored)
 	}
 	for i := range cells {
 		sameResult(t, fmt.Sprintf("cell %d", i), res[i], ref[i])

@@ -3,6 +3,7 @@ package sweep
 import (
 	"encoding/json"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -367,5 +368,101 @@ func TestStoreReloadIncremental(t *testing.T) {
 	}
 	if fresh, err := mine.Reload(); err != nil || fresh != 0 {
 		t.Fatalf("post-shrink Reload: fresh=%d err=%v, want 0 (all known)", fresh, err)
+	}
+}
+
+// readOnlyCells is a small grid for the read-only opener tests.
+func readOnlyCells(t *testing.T) []engine.Cell {
+	t.Helper()
+	var cells []engine.Cell
+	for seed := int64(1); seed <= 4; seed++ {
+		cells = append(cells, engine.Cell{
+			Workload: workload.KindClustered, N: 3, WorkloadSeed: seed,
+			Adversary: "fair", AdversarySeed: seed, MaxEvents: 500,
+		})
+	}
+	return cells
+}
+
+// runInto runs cells solo into a fresh store at dir.
+func runInto(t *testing.T, dir string, cells []engine.Cell) {
+	t.Helper()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if _, stats := Run(cells, Options{Store: st}); stats.AppendErrs > 0 {
+		t.Fatalf("%d append errors", stats.AppendErrs)
+	}
+}
+
+func TestOpenReadOnlyDoesNotCompactOrAppend(t *testing.T) {
+	dir := t.TempDir()
+	runInto(t, dir, readOnlyCells(t)[:1])
+	// Corrupt trailing line: an exclusive Open would compact it away.
+	path := filepath.Join(dir, resultsFile)
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"torn`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	st, err := OpenReadOnly(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Done() != 1 {
+		t.Fatalf("read-only store loaded %d cells, want 1", st.Done())
+	}
+	if err := st.Append("x", engine.CellResult{}); err == nil {
+		t.Fatal("read-only store accepted an append")
+	}
+	warned := false
+	for _, w := range st.Warnings() {
+		if strings.Contains(w, "corrupt") {
+			warned = true
+		}
+	}
+	if !warned {
+		t.Fatal("corrupt line produced no warning")
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(after) != string(before) {
+		t.Fatal("OpenReadOnly modified the store file")
+	}
+}
+
+func TestStoreKeysSortedAndComplete(t *testing.T) {
+	dir := t.TempDir()
+	cells := readOnlyCells(t)
+	runInto(t, dir, cells)
+	st, err := OpenReadOnly(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := st.Keys()
+	if len(keys) != len(cells) {
+		t.Fatalf("%d keys, want %d", len(keys), len(cells))
+	}
+	for i := 1; i < len(keys); i++ {
+		if keys[i-1] >= keys[i] {
+			t.Fatalf("keys not sorted: %q before %q", keys[i-1], keys[i])
+		}
+	}
+	for _, c := range cells {
+		if _, ok := st.Lookup(c.Key()); !ok {
+			t.Fatalf("key %q missing", c.Key())
+		}
 	}
 }
