@@ -2,7 +2,6 @@ package fatgather
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"github.com/fatgather/fatgather/internal/engine"
@@ -185,22 +184,11 @@ func RunBatch(opts BatchOptions) (BatchResult, error) {
 	}
 	advs := make([]string, len(advNames))
 	for i, name := range advNames {
-		if _, err := adversaryFor(name, 1); err != nil {
-			return BatchResult{}, err
-		}
 		advs[i] = string(name)
 	}
-	kinds := make([]workload.Kind, 0, len(opts.Workloads))
-	for _, w := range opts.Workloads {
-		if !slices.Contains(workload.Kinds(), workload.Kind(w)) {
-			return BatchResult{}, fmt.Errorf("%w: unknown workload %q", ErrBadOptions, w)
-		}
-		kinds = append(kinds, workload.Kind(w))
-	}
-	for _, n := range opts.Ns {
-		if n <= 0 {
-			return BatchResult{}, fmt.Errorf("%w: N must be positive, got %d", ErrBadOptions, n)
-		}
+	kinds := make([]workload.Kind, len(opts.Workloads))
+	for i, w := range opts.Workloads {
+		kinds[i] = workload.Kind(w)
 	}
 	// A negative SeedStart could yield a cell with workload seed 0, which Run
 	// cannot replay (seed 0 means "default to 1" there); keep seeds positive.

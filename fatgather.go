@@ -8,6 +8,7 @@ import (
 	"github.com/fatgather/fatgather/internal/adversary"
 	"github.com/fatgather/fatgather/internal/baseline"
 	"github.com/fatgather/fatgather/internal/config"
+	"github.com/fatgather/fatgather/internal/engine"
 	"github.com/fatgather/fatgather/internal/geom"
 	"github.com/fatgather/fatgather/internal/obs"
 	"github.com/fatgather/fatgather/internal/sim"
@@ -166,35 +167,66 @@ var ErrBadOptions = errors.New("fatgather: invalid options")
 
 // Run generates (or takes) an initial configuration and runs the selected
 // algorithm under the selected adversary until termination, the gathering
-// goal, or the event budget.
+// goal, or the event budget. It runs the same engine.Cell that RunBatch runs
+// for a cell with these parameters.
 func Run(opts Options) (Result, error) {
-	initial, err := initialConfig(opts)
+	cell, err := cellFor(opts)
 	if err != nil {
 		return Result{}, err
 	}
-	alg, err := algorithmFor(opts.Algorithm)
-	if err != nil {
-		return Result{}, err
-	}
-	advSeed := opts.AdversarySeed
-	if advSeed == 0 {
-		advSeed = opts.Seed
-	}
-	strat, err := adversaryFor(opts.Adversary, advSeed)
-	if err != nil {
-		return Result{}, err
-	}
-	res, err := sim.Run(initial, sim.Options{
-		Algorithm:        alg,
-		Strategy:         strat,
-		Delta:            opts.Delta,
-		MaxEvents:        opts.MaxEvents,
-		StopWhenGathered: opts.StopWhenGathered,
-	})
+	res, err := cell.Run()
 	if err != nil {
 		return Result{}, err
 	}
 	return resultFromSim(res), nil
+}
+
+// cellFor parses opts into an engine cell, splitting the adversary spec into
+// the cell's fields the way engine.Batch.Cells does. Invalid options are
+// reported as ErrBadOptions.
+func cellFor(opts Options) (engine.Cell, error) {
+	alg, err := algorithmFor(opts.Algorithm)
+	if err != nil {
+		return engine.Cell{}, err
+	}
+	cell := engine.Cell{
+		Workload:         workload.Kind(opts.Workload),
+		N:                opts.N,
+		WorkloadSeed:     opts.Seed,
+		Algorithm:        alg,
+		AdversarySeed:    opts.AdversarySeed,
+		Delta:            opts.Delta,
+		MaxEvents:        opts.MaxEvents,
+		StopWhenGathered: opts.StopWhenGathered,
+	}
+	if cell.Workload == "" {
+		cell.Workload = workload.KindRandom
+	}
+	if cell.WorkloadSeed == 0 {
+		cell.WorkloadSeed = 1
+	}
+	if cell.AdversarySeed == 0 {
+		cell.AdversarySeed = opts.Seed
+	}
+	if len(opts.Initial) > 0 {
+		cell.Initial = fromPoints(opts.Initial)
+		if err := cell.Initial.Validate(); err != nil {
+			return engine.Cell{}, fmt.Errorf("%w: %v", ErrBadOptions, err)
+		}
+	}
+	name := opts.Adversary
+	if name == "" {
+		name = AdversaryRandomAsync
+	}
+	spec, err := adversary.ParseSpec(string(name))
+	if err != nil {
+		return engine.Cell{}, fmt.Errorf("%w: %v", ErrBadOptions, err)
+	}
+	cell.Adversary, cell.Crash, cell.Noise, cell.Trunc = spec.Strategy, spec.Crash, spec.Noise, spec.Trunc
+	if err := cell.Validate(); err != nil {
+		return engine.Cell{}, fmt.Errorf("%w: %v", ErrBadOptions, err)
+	}
+	return cell, nil
 }
 
 // resultFromSim converts a simulator result to the public Result form.
@@ -270,32 +302,6 @@ func TelemetryJSON() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-func initialConfig(opts Options) (config.Geometric, error) {
-	if len(opts.Initial) > 0 {
-		cfg := fromPoints(opts.Initial)
-		if err := cfg.Validate(); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadOptions, err)
-		}
-		return cfg, nil
-	}
-	if opts.N <= 0 {
-		return nil, fmt.Errorf("%w: N must be positive (or Initial provided)", ErrBadOptions)
-	}
-	kind := opts.Workload
-	if kind == "" {
-		kind = WorkloadRandom
-	}
-	seed := opts.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	cfg, err := workload.Generate(workload.Kind(kind), opts.N, seed)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadOptions, err)
-	}
-	return cfg, nil
-}
-
 func algorithmFor(name AlgorithmName) (sim.Algorithm, error) {
 	switch name {
 	case "", AlgorithmPaper:
@@ -309,24 +315,6 @@ func algorithmFor(name AlgorithmName) (sim.Algorithm, error) {
 	default:
 		return nil, fmt.Errorf("%w: unknown algorithm %q", ErrBadOptions, name)
 	}
-}
-
-func adversaryFor(name AdversaryName, seed int64) (adversary.Strategy, error) {
-	if seed == 0 {
-		seed = 1
-	}
-	if name == "" {
-		name = AdversaryRandomAsync
-	}
-	spec, err := adversary.ParseSpec(string(name))
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadOptions, err)
-	}
-	strat, err := adversary.New(spec, seed)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadOptions, err)
-	}
-	return strat, nil
 }
 
 func toPoints(cfg config.Geometric) []Point {

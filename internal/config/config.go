@@ -30,9 +30,6 @@ func (g Geometric) Clone() Geometric {
 	return out
 }
 
-// N returns the number of robots.
-func (g Geometric) N() int { return len(g) }
-
 // Validate checks that the configuration is physically realizable: all
 // coordinates finite and no two closed unit discs sharing more than a
 // boundary point (centers at distance >= 2-ContactEps).
@@ -59,16 +56,6 @@ func (g Geometric) Touching(i, j int) bool {
 		return false
 	}
 	return geom.DiscsTangent(g[i], g[j], geom.UnitRadius, ContactEps)
-}
-
-// TouchingAny reports whether robot i touches at least one other robot.
-func (g Geometric) TouchingAny(i int) bool {
-	for j := range g {
-		if g.Touching(i, j) {
-			return true
-		}
-	}
-	return false
 }
 
 // ContactGraph returns the adjacency lists of the tangency graph.
@@ -115,36 +102,6 @@ func (g Geometric) Connected() bool {
 	return count == n
 }
 
-// ConnectedComponentsTangent returns the connected components of the tangency
-// graph as slices of robot indices.
-func (g Geometric) ConnectedComponentsTangent() [][]int {
-	n := len(g)
-	adj := g.ContactGraph()
-	seen := make([]bool, n)
-	var comps [][]int
-	for start := 0; start < n; start++ {
-		if seen[start] {
-			continue
-		}
-		var comp []int
-		stack := []int{start}
-		seen[start] = true
-		for len(stack) > 0 {
-			cur := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			comp = append(comp, cur)
-			for _, nb := range adj[cur] {
-				if !seen[nb] {
-					seen[nb] = true
-					stack = append(stack, nb)
-				}
-			}
-		}
-		comps = append(comps, comp)
-	}
-	return comps
-}
-
 // FullyVisible reports whether every robot can see every other robot under
 // the given visibility model.
 func (g Geometric) FullyVisible(m *vision.Model) bool {
@@ -163,10 +120,6 @@ func (g Geometric) AllOnHull() bool { return g.OnHullCount() == len(g) }
 
 // HullArea returns the area of the convex hull of the robot centers.
 func (g Geometric) HullArea() float64 { return geom.PolygonArea(geom.ConvexHull(g)) }
-
-// HullPerimeter returns the perimeter of the convex hull of the robot
-// centers.
-func (g Geometric) HullPerimeter() float64 { return geom.PolygonPerimeter(geom.ConvexHull(g)) }
 
 // Gathered reports whether the configuration satisfies the gathering goal of
 // Definition 1 (geometric part): connected and fully visible.

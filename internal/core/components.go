@@ -176,61 +176,3 @@ func HowMuchDistance(points []geom.Vec, c geom.Vec, m int) int {
 	}
 	return 3
 }
-
-// InLargestComponent implements the paper's Function In-Largest-Component
-// (Section 3.6). It returns 1 if c belongs to a component of maximum size, 2
-// if every other component is strictly larger than c's, and 3 otherwise.
-func InLargestComponent(points []geom.Vec, c geom.Vec, m int) int {
-	comps := ConnectedComponents(points, m)
-	idx := componentIndexOf(comps, c)
-	if idx < 0 || len(comps) == 0 {
-		return 3
-	}
-	mySize := comps[idx].Size()
-	maxSize := 0
-	allOthersLarger := true
-	for i, comp := range comps {
-		if comp.Size() > maxSize {
-			maxSize = comp.Size()
-		}
-		if i != idx && comp.Size() <= mySize {
-			allOthersLarger = false
-		}
-	}
-	if mySize == maxSize {
-		return 1
-	}
-	if allOthersLarger && len(comps) > 1 {
-		return 2
-	}
-	return 3
-}
-
-// InSmallestComponent implements the paper's Function In-Smallest-Component
-// (Section 3.7). It returns 1 if c belongs to a component of minimum size, 2
-// if every other component is strictly smaller than c's, and 3 otherwise.
-func InSmallestComponent(points []geom.Vec, c geom.Vec, m int) int {
-	comps := ConnectedComponents(points, m)
-	idx := componentIndexOf(comps, c)
-	if idx < 0 || len(comps) == 0 {
-		return 3
-	}
-	mySize := comps[idx].Size()
-	minSize := math.MaxInt
-	allOthersSmaller := true
-	for i, comp := range comps {
-		if comp.Size() < minSize {
-			minSize = comp.Size()
-		}
-		if i != idx && comp.Size() >= mySize {
-			allOthersSmaller = false
-		}
-	}
-	if mySize == minSize {
-		return 1
-	}
-	if allOthersSmaller && len(comps) > 1 {
-		return 2
-	}
-	return 3
-}

@@ -140,47 +140,6 @@ func TestHowMuchDistance(t *testing.T) {
 	}
 }
 
-func TestInLargestAndSmallestComponent(t *testing.T) {
-	// One pair and two singletons.
-	pts := []geom.Vec{v(0, 0), v(2, 0), v(30, 0), v(15, 25)}
-	m := len(pts)
-	pairMember := v(0, 0)
-	singleton := v(30, 0)
-
-	if got := InLargestComponent(pts, pairMember, m); got != 1 {
-		t.Fatalf("pair member in largest: got %d", got)
-	}
-	if got := InLargestComponent(pts, singleton, m); got != 3 {
-		// Not in largest, and not every other component is larger (the other
-		// singleton is equal).
-		t.Fatalf("singleton in largest: got %d want 3", got)
-	}
-	if got := InSmallestComponent(pts, singleton, m); got != 1 {
-		t.Fatalf("singleton in smallest: got %d", got)
-	}
-	if got := InSmallestComponent(pts, pairMember, m); got != 2 {
-		// The pair is strictly larger than every other component.
-		t.Fatalf("pair member in smallest: got %d want 2", got)
-	}
-
-	// Unique smallest among larger components -> InLargest returns 2.
-	pts2 := []geom.Vec{v(0, 0), v(2, 0), v(40, 0), v(42, 0), v(21, 30)}
-	if got := InLargestComponent(pts2, v(21, 30), len(pts2)); got != 2 {
-		t.Fatalf("unique smallest: got %d want 2", got)
-	}
-	if got := InSmallestComponent(pts2, v(21, 30), len(pts2)); got != 1 {
-		t.Fatalf("unique smallest is in smallest: got %d want 1", got)
-	}
-
-	// Unknown point -> 3.
-	if got := InLargestComponent(pts, v(99, 99), m); got != 3 {
-		t.Fatalf("unknown point: got %d", got)
-	}
-	if got := InSmallestComponent(pts, v(99, 99), m); got != 3 {
-		t.Fatalf("unknown point: got %d", got)
-	}
-}
-
 func TestComponentGaps(t *testing.T) {
 	pts := []geom.Vec{v(0, 0), v(2, 0), v(10, 0), v(5, 8)}
 	comps := ConnectedComponents(pts, len(pts))

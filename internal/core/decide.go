@@ -539,36 +539,6 @@ func (d *decider) procNotChange() geom.Vec {
 
 // --- helpers ---
 
-// flatTriples scans all consecutive hull triples containing the robot and
-// reports whether any has sagitta below threshold, and whether the robot is
-// the middle point of such a triple.
-func (d *decider) flatTriples(threshold float64) (flat, selfMiddle bool) {
-	h := d.hull
-	n := len(h.onHull)
-	if n < 3 {
-		return false, false
-	}
-	idx := h.indexOf(d.view.Self)
-	if idx < 0 {
-		return false, false
-	}
-	for off := -2; off <= 0; off++ {
-		a := h.onHull[(idx+off-1+2*n)%n]
-		b := h.onHull[(idx+off+2*n)%n]
-		c := h.onHull[(idx+off+1+2*n)%n]
-		if !containsPoint([]geom.Vec{a, b, c}, d.view.Self) {
-			continue
-		}
-		if geom.DistancePointLine(b, a, c) < threshold {
-			flat = true
-			if b.EqWithin(d.view.Self, geom.Eps) {
-				selfMiddle = true
-			}
-		}
-	}
-	return flat, selfMiddle
-}
-
 // selfInFlatHullTriple reports whether the robot belongs to any consecutive
 // hull triple whose middle point is within `width` of the chord of the outer
 // two (the Figure 5 rectangle test).
@@ -611,38 +581,6 @@ func (d *decider) selfMiddleOfFlatHullTriple(width float64) bool {
 	a := h.onHull[(idx-1+n)%n]
 	c := h.onHull[(idx+1)%n]
 	return geom.DistancePointSegment(d.view.Self, a, c) <= width
-}
-
-// maxInwardWithoutFlattening returns how far the robot can move inward
-// (perpendicular to its neighbours' chord) while keeping the sagitta of every
-// hull triple involving it at or above minSagitta. It is a conservative bound
-// used by the flatness guard of Procedure NotConnected.
-func (d *decider) maxInwardWithoutFlattening(idx int, minSagitta float64) float64 {
-	h := d.hull
-	n := len(h.onHull)
-	if n < 3 {
-		return HalfStep(d.view.N)
-	}
-	self := d.view.Self
-	left, right := h.neighbors(idx)
-	limit := HalfStep(d.view.N)
-	// Check the two triples in which the robot is an outer point: moving
-	// inward reduces the sagitta of the neighbouring middle robots.
-	for _, tr := range [][3]geom.Vec{
-		{h.onHull[(idx-2+2*n)%n], left, self},
-		{self, right, h.onHull[(idx+2)%n]},
-	} {
-		a, b, c := tr[0], tr[1], tr[2]
-		cur := geom.DistancePointLine(b, a, c)
-		slack := cur - minSagitta
-		if slack < limit {
-			limit = slack
-		}
-	}
-	if limit < 0 {
-		return 0
-	}
-	return limit
 }
 
 // towardHullBoundary returns the point where the segment from the robot to

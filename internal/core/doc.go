@@ -5,11 +5,14 @@
 //
 // The package has two layers:
 //
-//   - The geometric functions of Section 3 (On-Convex-Hull, Move-to-Point,
-//     Find-Points, Connected-Components, How-Much-Distance,
-//     In-Largest-Component, In-Smallest-Component, In-Straight-Line-2, and
-//     the safe distance of Lemma 2), exposed as plain functions over point
-//     sets.
+//   - The geometric functions of Section 3 that the package exports as
+//     plain functions over point sets: On-Convex-Hull (OnConvexHull),
+//     Move-to-Point (MoveToPoint, with TangencyTarget), Find-Points
+//     (FindPoints), Connected-Components (ConnectedComponents),
+//     How-Much-Distance (HowMuchDistance) and In-Straight-Line-2
+//     (InStraightLine2, with the Figure 5 rectangle test InStraightLineRect).
+//     In-Largest-Component and In-Smallest-Component have no function of
+//     their own: Procedure NotConnected compares the component sizes inline.
 //
 //   - The 17-state local algorithm of Section 4, exposed as Decide: given a
 //     robot's local view (the snapshot taken in its Look state) it walks the

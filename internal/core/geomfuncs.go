@@ -181,30 +181,3 @@ func InStraightLineRect(cl, cm, cr geom.Vec, n int) bool {
 	}
 	return geom.DistancePointSegment(cm, cl, cr) <= 1/float64(n)
 }
-
-// SafeDistance implements the bound of Lemma 2: the minimum center distance
-// between two adjacent hull robots cl and cr (with hull neighbours prev
-// before cl and next after cr) beyond which Find-Points is guaranteed to
-// return a point between them. It returns +Inf when either adjacent edge is
-// (numerically) collinear with cl–cr, in which case no finite expansion
-// guarantees a valid point.
-func SafeDistance(prev, cl, cr, next geom.Vec, n int) float64 {
-	if n < 1 {
-		n = 1
-	}
-	angleL := geom.AngleAt(prev, cl, cr)
-	angleR := geom.AngleAt(cl, cr, next)
-	// The relevant angle in the lemma's construction is the deviation of the
-	// adjacent edge from the straight continuation of cl–cr.
-	thetaL := math.Pi - angleL
-	thetaR := math.Pi - angleR
-	need := func(theta float64) float64 {
-		if theta <= geom.Eps || theta >= math.Pi-geom.Eps {
-			return math.Inf(1)
-		}
-		nf := float64(n)
-		return 1/(nf*math.Tan(theta)) + 1/(nf*math.Sin(theta))
-	}
-	half := math.Max(need(thetaL), need(thetaR))
-	return 2 * half
-}

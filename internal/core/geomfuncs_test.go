@@ -161,26 +161,3 @@ func TestInStraightLineRect(t *testing.T) {
 		t.Fatal("point beyond 1/n of the chord is outside the rectangle")
 	}
 }
-
-func TestSafeDistance(t *testing.T) {
-	// A square corner sequence: right angles on both sides.
-	d := SafeDistance(v(0, 10), v(0, 0), v(10, 0), v(10, 10), 8)
-	if math.IsInf(d, 1) || d <= 0 {
-		t.Fatalf("safe distance for right angles should be finite positive, got %v", d)
-	}
-	// Nearly straight continuation: safe distance explodes.
-	d2 := SafeDistance(v(-10, 0), v(0, 0), v(10, 0), v(20, 0), 8)
-	if !math.IsInf(d2, 1) {
-		t.Fatalf("collinear continuation should give +Inf, got %v", d2)
-	}
-	// Sharper corners need less distance.
-	dSharp := SafeDistance(v(0, 10), v(0, 0), v(4, 0), v(4, 10), 8)
-	if dSharp > d+1e-9 {
-		t.Fatalf("equal angles should give equal requirement, got %v vs %v", dSharp, d)
-	}
-	// Larger n shrinks the requirement.
-	dBig := SafeDistance(v(0, 10), v(0, 0), v(10, 0), v(10, 10), 64)
-	if dBig >= d {
-		t.Fatalf("larger n should reduce safe distance: %v vs %v", dBig, d)
-	}
-}

@@ -12,7 +12,8 @@ import (
 // refSelfBlocksPair is selfBlocksPair without the corridor shortcuts: every
 // pair's obstacles are every view point other than the pair, with and
 // without the points at the observer's position, handed whole to
-// VisiblePair. The corridor version must pick the same pair, bit for bit.
+// VisiblePairScratch with a fresh Scratch. The corridor version must pick the
+// same pair, bit for bit.
 func refSelfBlocksPair(all []geom.Vec, self geom.Vec) (a, b geom.Vec, blocks bool) {
 	if len(all) < 3 {
 		return geom.Vec{}, geom.Vec{}, false
@@ -27,6 +28,10 @@ func refSelfBlocksPair(all []geom.Vec, self geom.Vec) (a, b geom.Vec, blocks boo
 		}
 		return out
 	}
+	visiblePair := func(p, q geom.Vec, obstacles []geom.Vec) bool {
+		var sc vision.Scratch
+		return visionModel.VisiblePairScratch(&sc, p, q, obstacles)
+	}
 	bestDist := -1.0
 	for i := 0; i < len(all); i++ {
 		if all[i].EqWithin(self, geom.Eps) {
@@ -36,10 +41,10 @@ func refSelfBlocksPair(all []geom.Vec, self geom.Vec) (a, b geom.Vec, blocks boo
 			if all[j].EqWithin(self, geom.Eps) {
 				continue
 			}
-			if visionModel.VisiblePair(all[i], all[j], without(all[i], all[j], geom.Vec{}, false)) {
+			if visiblePair(all[i], all[j], without(all[i], all[j], geom.Vec{}, false)) {
 				continue
 			}
-			if !visionModel.VisiblePair(all[i], all[j], without(all[i], all[j], self, true)) {
+			if !visiblePair(all[i], all[j], without(all[i], all[j], self, true)) {
 				continue
 			}
 			dist := geom.DistancePointSegment(self, all[i], all[j])

@@ -985,13 +985,3 @@ func Suite() []Experiment {
 		{"E15", func(c Config) Table { return E15NoiseThreshold(c, 6) }},
 	}
 }
-
-// All runs every experiment with the given configuration, in order.
-func All(cfg Config) []Table {
-	suite := Suite()
-	out := make([]Table, len(suite))
-	for i, e := range suite {
-		out[i] = e.Run(cfg)
-	}
-	return out
-}

@@ -17,18 +17,6 @@ type Circle struct {
 // a fat robot whose center is c.
 func UnitDisc(c Vec) Circle { return Circle{Center: c, Radius: UnitRadius} }
 
-// Contains reports whether p lies in the closed disc.
-func (c Circle) Contains(p Vec) bool {
-	return c.Center.Dist(p) <= c.Radius+Eps
-}
-
-// ContainsStrict reports whether p lies strictly inside the open disc, with a
-// tolerance margin: points within tol of the boundary are treated as on the
-// boundary (and therefore not strictly inside).
-func (c Circle) ContainsStrict(p Vec, tol float64) bool {
-	return c.Center.Dist(p) < c.Radius-tol
-}
-
 // OnBoundary reports whether p is within tol of the circle's boundary.
 func (c Circle) OnBoundary(p Vec, tol float64) bool {
 	return math.Abs(c.Center.Dist(p)-c.Radius) <= tol
@@ -39,13 +27,6 @@ func (c Circle) OnBoundary(p Vec, tol float64) bool {
 func (c Circle) PointAtAngle(theta float64) Vec {
 	s, cos := math.Sincos(theta)
 	return Vec{c.Center.X + c.Radius*cos, c.Center.Y + c.Radius*s}
-}
-
-// DiscsOverlap reports whether the open discs around a and b (both of radius
-// r) overlap, i.e. their centers are closer than 2r (minus tolerance). Two
-// tangent discs do NOT overlap.
-func DiscsOverlap(a, b Vec, r, tol float64) bool {
-	return a.Dist(b) < 2*r-tol
 }
 
 // DiscsTangent reports whether the discs of radius r centered at a and b are
@@ -134,30 +115,6 @@ func SegmentCircleIntersections(a, b Vec, c Circle) []Vec {
 	return out
 }
 
-// LineCircleIntersections returns the intersection points of the infinite
-// line through a and b with the circle boundary (0, 1 or 2 points).
-func LineCircleIntersections(a, b Vec, c Circle) []Vec {
-	d := b.Sub(a)
-	f := a.Sub(c.Center)
-	A := d.Dot(d)
-	if A < Eps*Eps {
-		return nil
-	}
-	B := 2 * f.Dot(d)
-	C := f.Dot(f) - c.Radius*c.Radius
-	disc := B*B - 4*A*C
-	if disc < 0 {
-		return nil
-	}
-	sq := math.Sqrt(disc)
-	p1 := a.Add(d.Scale((-B - sq) / (2 * A)))
-	p2 := a.Add(d.Scale((-B + sq) / (2 * A)))
-	if p1.EqWithin(p2, Eps) {
-		return []Vec{p1}
-	}
-	return []Vec{p1, p2}
-}
-
 // CircleCircleIntersections returns the intersection points of the boundaries
 // of two circles (0, 1 or 2 points).
 func CircleCircleIntersections(c1, c2 Circle) []Vec {
@@ -183,21 +140,13 @@ func CircleCircleIntersections(c1, c2 Circle) []Vec {
 	return []Vec{mid.Add(off), mid.Sub(off)}
 }
 
-// OuterTangentSegments returns the two outer common tangent segments between
-// two circles of equal radius r centered at a and b. Each segment connects
-// the tangency point on circle a to the tangency point on circle b. For
-// coincident centers it returns nil.
-//
-// For equal radii the outer tangents are simply the two translates of the
-// center segment by +-r along the perpendicular direction.
-func OuterTangentSegments(a, b Vec, r float64) []Segment {
-	return AppendOuterTangentSegments(nil, a, b, r)
-}
-
 // AppendOuterTangentSegments appends the two outer common tangent segments
-// (see OuterTangentSegments) to dst and returns the extended slice, appending
-// nothing for coincident centers. It exists so hot paths can reuse a segment
-// buffer instead of allocating one per pair query.
+// between two circles of equal radius r centered at a and b to dst and
+// returns the extended slice, appending nothing for coincident centers. Each
+// segment connects the tangency point on circle a to the one on circle b;
+// for equal radii they are the two translates of the center segment by +-r
+// along the perpendicular. vision's sight-line generator computes the same
+// segments inline, and its eager test oracle calls this function.
 func AppendOuterTangentSegments(dst []Segment, a, b Vec, r float64) []Segment {
 	d := b.Sub(a)
 	if d.Norm() < Eps {
@@ -208,38 +157,4 @@ func AppendOuterTangentSegments(dst []Segment, a, b Vec, r float64) []Segment {
 		Segment{A: a.Add(n), B: b.Add(n)},
 		Segment{A: a.Sub(n), B: b.Sub(n)},
 	)
-}
-
-// InnerTangentSegments returns the inner common tangent segments between two
-// circles of equal radius r centered at a and b (the tangents that cross
-// between the circles). They exist only when the discs are disjoint (center
-// distance > 2r); otherwise nil is returned.
-func InnerTangentSegments(a, b Vec, r float64) []Segment {
-	d := a.Dist(b)
-	if d <= 2*r+Eps {
-		return nil
-	}
-	mid := Midpoint(a, b)
-	// Angle between the center line and the tangent line at the tangency
-	// point: sin(alpha) = 2r/d for the inner tangent of equal circles.
-	sin := 2 * r / d
-	if sin > 1 {
-		return nil
-	}
-	alpha := math.Asin(sin)
-	dir := b.Sub(a).Unit()
-	var segs []Segment
-	for _, sgn := range []float64{1, -1} {
-		// Tangency point on circle a: rotate dir by (pi/2 - alpha)*sgn... use
-		// direct construction: the tangent from a touches its own circle at a
-		// point whose radius vector is perpendicular to the tangent line. The
-		// inner tangent passes through the midpoint of the centers.
-		// Direction of the tangent line through mid:
-		tangentDir := dir.Rotate(sgn * alpha)
-		// Tangency points are the feet of perpendiculars from each center.
-		pa := ProjectPointOnLine(a, mid, mid.Add(tangentDir))
-		pb := ProjectPointOnLine(b, mid, mid.Add(tangentDir))
-		segs = append(segs, Segment{A: pa, B: pb})
-	}
-	return segs
 }

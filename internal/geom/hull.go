@@ -121,17 +121,6 @@ func OnHull(pts []Vec, p Vec) bool {
 	return false
 }
 
-// IsHullVertex reports whether p is a corner vertex of the convex hull of
-// pts (not merely on an edge).
-func IsHullVertex(pts []Vec, p Vec) bool {
-	for _, q := range ConvexHull(pts) {
-		if q.EqWithin(p, Eps) {
-			return true
-		}
-	}
-	return false
-}
-
 // PointInConvexPolygon reports whether p lies inside or on the boundary of
 // the convex polygon given by its vertices in counter-clockwise order.
 func PointInConvexPolygon(p Vec, poly []Vec) bool {
@@ -168,77 +157,6 @@ func PolygonArea(poly []Vec) float64 {
 		sum += poly[i].Cross(poly[j])
 	}
 	return math.Abs(sum) / 2
-}
-
-// PolygonPerimeter returns the perimeter of the polygon given by its vertices
-// in order.
-func PolygonPerimeter(poly []Vec) float64 {
-	n := len(poly)
-	if n < 2 {
-		return 0
-	}
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += poly[i].Dist(poly[(i+1)%n])
-	}
-	return sum
-}
-
-// PolygonCentroid returns the centroid of the polygon area; for degenerate
-// polygons (fewer than 3 vertices or zero area) it falls back to the vertex
-// centroid.
-func PolygonCentroid(poly []Vec) Vec {
-	n := len(poly)
-	if n < 3 {
-		return Centroid(poly)
-	}
-	var cx, cy, a float64
-	for i := 0; i < n; i++ {
-		j := (i + 1) % n
-		cr := poly[i].Cross(poly[j])
-		a += cr
-		cx += (poly[i].X + poly[j].X) * cr
-		cy += (poly[i].Y + poly[j].Y) * cr
-	}
-	if math.Abs(a) < Eps {
-		return Centroid(poly)
-	}
-	a /= 2
-	return Vec{cx / (6 * a), cy / (6 * a)}
-}
-
-// HullContains reports whether every vertex of inner's convex hull lies
-// inside or on the convex hull of outer. It is the containment check used to
-// verify the paper's hull-monotonicity lemmas (Lemma 20 and Lemma 21).
-func HullContains(outer, inner []Vec) bool {
-	oh := ConvexHull(outer)
-	for _, p := range ConvexHull(inner) {
-		if !PointInConvexPolygon(p, oh) {
-			// Allow boundary slack: a point may drift by a tiny amount due to
-			// floating-point motion updates.
-			if distanceToPolygon(p, oh) > 1e-7 {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-func distanceToPolygon(p Vec, poly []Vec) float64 {
-	if len(poly) == 0 {
-		return math.Inf(1)
-	}
-	if PointInConvexPolygon(p, poly) {
-		return 0
-	}
-	best := math.Inf(1)
-	for i := range poly {
-		d := DistancePointSegment(p, poly[i], poly[(i+1)%len(poly)])
-		if d < best {
-			best = d
-		}
-	}
-	return best
 }
 
 // dedupPoints returns the input points with (near-)duplicates removed,

@@ -89,11 +89,8 @@ func TestOnHullAndIsHullVertex(t *testing.T) {
 	if !OnHull(pts, V(2, 0)) {
 		t.Fatal("edge point should be on hull")
 	}
-	if IsHullVertex(pts, V(2, 0)) {
-		t.Fatal("edge point should not be a hull vertex")
-	}
-	if !IsHullVertex(pts, V(4, 4)) {
-		t.Fatal("corner should be a hull vertex")
+	if !OnHull(pts, V(4, 4)) {
+		t.Fatal("corner should be on hull")
 	}
 	if OnHull(pts, V(2, 2)) {
 		t.Fatal("interior point should not be on hull")
@@ -133,35 +130,12 @@ func TestPolygonMeasures(t *testing.T) {
 	if !almostEq(PolygonArea(square), 16, 1e-9) {
 		t.Fatalf("area = %v", PolygonArea(square))
 	}
-	if !almostEq(PolygonPerimeter(square), 16, 1e-9) {
-		t.Fatalf("perimeter = %v", PolygonPerimeter(square))
-	}
-	if !PolygonCentroid(square).EqWithin(V(2, 2), 1e-9) {
-		t.Fatalf("centroid = %v", PolygonCentroid(square))
-	}
 	if PolygonArea([]Vec{V(0, 0), V(1, 0)}) != 0 {
 		t.Fatal("degenerate polygon area should be 0")
 	}
 	tri := []Vec{V(0, 0), V(4, 0), V(0, 3)}
 	if !almostEq(PolygonArea(tri), 6, 1e-9) {
 		t.Fatalf("triangle area = %v", PolygonArea(tri))
-	}
-	if !almostEq(PolygonPerimeter(tri), 12, 1e-9) {
-		t.Fatalf("triangle perimeter = %v", PolygonPerimeter(tri))
-	}
-}
-
-func TestHullContains(t *testing.T) {
-	outer := []Vec{V(0, 0), V(10, 0), V(10, 10), V(0, 10)}
-	inner := []Vec{V(2, 2), V(8, 2), V(8, 8), V(2, 8)}
-	if !HullContains(outer, inner) {
-		t.Fatal("outer hull should contain inner hull")
-	}
-	if HullContains(inner, outer) {
-		t.Fatal("inner hull should not contain outer hull")
-	}
-	if !HullContains(outer, outer) {
-		t.Fatal("hull should contain itself")
 	}
 }
 
@@ -179,7 +153,7 @@ func TestHullContainsAllPointsProperty(t *testing.T) {
 			return true
 		}
 		for _, p := range pts {
-			if !PointInConvexPolygon(p, hull) && distanceToPolygon(p, hull) > 1e-7 {
+			if !PointInConvexPolygon(p, hull) && boundaryDistance(p, hull) > 1e-7 {
 				return false
 			}
 		}
@@ -188,6 +162,16 @@ func TestHullContainsAllPointsProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// boundaryDistance returns the distance from p to the boundary of the
+// polygon poly.
+func boundaryDistance(p Vec, poly []Vec) float64 {
+	best := math.Inf(1)
+	for i := range poly {
+		best = math.Min(best, DistancePointSegment(p, poly[i], poly[(i+1)%len(poly)]))
+	}
+	return best
 }
 
 // Property: hull of the hull is the hull (idempotence) and hull area never

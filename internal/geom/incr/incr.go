@@ -75,9 +75,6 @@ func (c *Cache) Reset(centers []geom.Vec) {
 // mutate positions only through Move.
 func (c *Cache) Centers() []geom.Vec { return c.centers }
 
-// N returns the configuration size.
-func (c *Cache) N() int { return c.n }
-
 // Move records that robot i moved to p and re-establishes every cached
 // verdict that the move could possibly have changed: both directions of every
 // pair involving i, plus both directions of any pair whose blocking corridor
@@ -180,9 +177,6 @@ func (c *Cache) HullCorners() []geom.Vec {
 	}
 	return c.corners
 }
-
-// Centroid returns the centroid of the robot centers (equals geom.Centroid).
-func (c *Cache) Centroid() geom.Vec { return geom.Centroid(c.centers) }
 
 // Spread returns the maximum pairwise center distance, bit-identical to
 // config.Geometric.Spread (same loop order, same comparison).

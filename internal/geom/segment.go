@@ -8,31 +8,6 @@ type Segment struct {
 	B Vec
 }
 
-// Seg is a convenience constructor for Segment.
-func Seg(a, b Vec) Segment { return Segment{A: a, B: b} }
-
-// Length returns the Euclidean length of the segment.
-func (s Segment) Length() float64 { return s.A.Dist(s.B) }
-
-// Midpoint returns the midpoint of the segment.
-func (s Segment) Midpoint() Vec { return Midpoint(s.A, s.B) }
-
-// Direction returns the unit vector pointing from A to B (zero vector for a
-// degenerate segment).
-func (s Segment) Direction() Vec { return s.B.Sub(s.A).Unit() }
-
-// PointAt returns the point A + t*(B-A); t in [0,1] stays on the segment.
-func (s Segment) PointAt(t float64) Vec { return s.A.Lerp(s.B, t) }
-
-// Contains reports whether p lies on the closed segment within tolerance.
-func (s Segment) Contains(p Vec) bool { return Between(s.A, s.B, p) }
-
-// DistanceTo returns the distance from p to the closed segment.
-func (s Segment) DistanceTo(p Vec) float64 { return DistancePointSegment(p, s.A, s.B) }
-
-// Closest returns the point of the segment closest to p.
-func (s Segment) Closest(p Vec) Vec { return ClosestPointOnSegment(p, s.A, s.B) }
-
 // SegmentsIntersect reports whether the closed segments [p1,p2] and [q1,q2]
 // share at least one point.
 func SegmentsIntersect(p1, p2, q1, q2 Vec) bool {

@@ -6,34 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestSegmentBasics(t *testing.T) {
-	s := Seg(V(0, 0), V(3, 4))
-	if !almostEq(s.Length(), 5, 1e-12) {
-		t.Fatalf("length = %v", s.Length())
-	}
-	if !s.Midpoint().EqWithin(V(1.5, 2), 1e-12) {
-		t.Fatalf("midpoint = %v", s.Midpoint())
-	}
-	if !almostEq(s.Direction().Norm(), 1, 1e-12) {
-		t.Fatalf("direction not unit: %v", s.Direction())
-	}
-	if !s.PointAt(0.5).EqWithin(V(1.5, 2), 1e-12) {
-		t.Fatalf("pointAt = %v", s.PointAt(0.5))
-	}
-	if !s.Contains(V(1.5, 2)) {
-		t.Fatal("should contain midpoint")
-	}
-	if s.Contains(V(10, 10)) {
-		t.Fatal("should not contain far point")
-	}
-	if !almostEq(s.DistanceTo(V(0, 5)), 3, 1e-9) {
-		t.Fatalf("distanceTo = %v", s.DistanceTo(V(0, 5)))
-	}
-	if !s.Closest(V(0, 0)).EqWithin(V(0, 0), 1e-12) {
-		t.Fatal("closest to endpoint should be endpoint")
-	}
-}
-
 func TestSegmentsIntersect(t *testing.T) {
 	tests := []struct {
 		name           string

@@ -90,9 +90,6 @@ func (v Vec) Lerp(w Vec, t float64) Vec {
 // counter-clockwise from the positive x axis.
 func (v Vec) Angle() float64 { return math.Atan2(v.Y, v.X) }
 
-// AngleTo returns the angle from v to w (direction of w-v).
-func (v Vec) AngleTo(w Vec) float64 { return w.Sub(v).Angle() }
-
 // Eq reports whether v and w coincide within Eps in both coordinates.
 func (v Vec) Eq(w Vec) bool {
 	return math.Abs(v.X-w.X) <= Eps && math.Abs(v.Y-w.Y) <= Eps

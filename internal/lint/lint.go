@@ -224,18 +224,6 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	return fn
 }
 
-// isPkgLevelFunc reports whether fn is the package-level function pkgPath.name
-// (methods never match).
-func isPkgLevelFunc(fn *types.Func, pkgPath, name string) bool {
-	if fn == nil || fn.Pkg() == nil {
-		return false
-	}
-	if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
-		return false
-	}
-	return fn.Pkg().Path() == pkgPath && fn.Name() == name
-}
-
 // enclosingFuncName returns the name of the function declaration containing
 // pos ("" at file scope). Method names are reported bare ("create", not
 // "(*FSBackend).create"), which is what the per-function allowlists

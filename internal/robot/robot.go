@@ -36,9 +36,6 @@ func (s State) String() string {
 	}
 }
 
-// Valid reports whether s is one of the five defined states.
-func (s State) Valid() bool { return s >= Wait && s <= Terminate }
-
 // Robot is the mutable per-robot record kept by the simulator. The fields
 // mirror the paper's model: only the center and the state exist "physically";
 // View/Start/Target are the transient contents of the current
@@ -76,13 +73,6 @@ func New(id int, center geom.Vec) *Robot {
 // Terminated reports whether the robot has reached the absorbing Terminate
 // state.
 func (r *Robot) Terminated() bool { return r.State == Terminate }
-
-// Idle reports whether the robot is in Wait (and therefore eligible for a
-// Look event).
-func (r *Robot) Idle() bool { return r.State == Wait }
-
-// Moving reports whether the robot is currently in the Move state.
-func (r *Robot) Moving() bool { return r.State == Move }
 
 // BeginLook transitions Wait -> Look and records the snapshot. It returns an
 // error if the robot is not in Wait.
@@ -172,12 +162,6 @@ func (r *Robot) RemainingDistance() float64 {
 		return 0
 	}
 	return r.Center.Dist(r.Target)
-}
-
-// AtTarget reports whether a moving robot has reached its target (within
-// tol).
-func (r *Robot) AtTarget(tol float64) bool {
-	return r.State == Move && r.Center.Dist(r.Target) <= tol
 }
 
 // forget erases the transient per-cycle memory (obliviousness). The View

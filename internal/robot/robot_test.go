@@ -23,14 +23,11 @@ func TestStateString(t *testing.T) {
 			t.Errorf("String(%d) = %q want %q", int(tt.s), got, tt.want)
 		}
 	}
-	if !Wait.Valid() || State(0).Valid() || State(99).Valid() {
-		t.Fatal("Valid misclassifies states")
-	}
 }
 
 func TestLifecycleHappyPath(t *testing.T) {
 	r := New(3, geom.V(0, 0))
-	if !r.Idle() || r.Terminated() || r.Moving() {
+	if r.State != Wait {
 		t.Fatal("new robot should be idle")
 	}
 	view := []geom.Vec{geom.V(0, 0), geom.V(5, 0)}
@@ -43,7 +40,7 @@ func TestLifecycleHappyPath(t *testing.T) {
 	if err := r.BeginMove(geom.V(4, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if !r.Moving() {
+	if r.State != Move {
 		t.Fatal("robot should be moving")
 	}
 	if got := r.RemainingDistance(); got != 4 {
@@ -53,20 +50,20 @@ func TestLifecycleHappyPath(t *testing.T) {
 	if moved != 1.5 {
 		t.Fatalf("advance = %v", moved)
 	}
-	if r.AtTarget(1e-9) {
+	if r.RemainingDistance() <= 1e-9 {
 		t.Fatal("not yet at target")
 	}
 	moved = r.Advance(100)
 	if moved != 2.5 {
 		t.Fatalf("advance clamped = %v", moved)
 	}
-	if !r.AtTarget(1e-9) {
+	if r.RemainingDistance() > 1e-9 {
 		t.Fatal("should be at target")
 	}
 	if err := r.FinishMove(); err != nil {
 		t.Fatal(err)
 	}
-	if !r.Idle() {
+	if r.State != Wait {
 		t.Fatal("should be back in Wait")
 	}
 	if len(r.View) != 0 {
@@ -136,7 +133,7 @@ func TestAdvanceZeroLengthMove(t *testing.T) {
 	if got := r.Advance(1); got != 0 {
 		t.Fatalf("advance on zero-length move = %v", got)
 	}
-	if !r.AtTarget(1e-9) {
+	if r.RemainingDistance() > 1e-9 {
 		t.Fatal("robot with zero-length move is at its target")
 	}
 	if err := r.FinishMove(); err != nil {

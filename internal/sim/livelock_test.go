@@ -2,20 +2,41 @@ package sim
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"github.com/fatgather/fatgather/internal/adversary"
 	"github.com/fatgather/fatgather/internal/config"
+	"github.com/fatgather/fatgather/internal/core"
 	"github.com/fatgather/fatgather/internal/geom"
 	"github.com/fatgather/fatgather/internal/robot"
 	"github.com/fatgather/fatgather/internal/sched"
 	"github.com/fatgather/fatgather/internal/workload"
 )
 
-// livelockCase is a known round-robin-lag blocked-path livelock: before
-// certification existed this configuration burned the full budget and was
-// misreported as budget-exhausted (measured: 150000 events, last progress
-// before event 500).
+// nearestNeighbour is a test-only Algorithm whose robots always target the
+// center of their nearest visible neighbour. A move toward a disc ends
+// tangent to some disc, and from then on every grant is 0: the mover already
+// touches the disc it heads into. So every run deadlocks by construction,
+// whatever package core decides, and the livelock tests do not rest on a
+// defect of the paper's algorithm.
+type nearestNeighbour struct{}
+
+func (nearestNeighbour) Name() string { return "nearest-neighbour" }
+
+func (nearestNeighbour) Decide(v core.View) core.Decision {
+	target, best := v.Self, math.Inf(1)
+	for _, c := range v.Others {
+		if d := v.Self.Dist(c); d < best {
+			target, best = c, d
+		}
+	}
+	return core.Decision{Target: target}
+}
+
+// livelockCase is a deadlock by construction: nested-hulls n=6 under
+// round-robin-lag with nearestNeighbour robots. Without certification it
+// burns the full budget.
 func livelockCase(t *testing.T) (config.Geometric, Options) {
 	t.Helper()
 	cfg, err := workload.Generate(workload.KindNestedHulls, 6, 1)
@@ -23,6 +44,7 @@ func livelockCase(t *testing.T) (config.Geometric, Options) {
 		t.Fatal(err)
 	}
 	return cfg, Options{
+		Algorithm: nearestNeighbour{},
 		Strategy:  adversary.NewRoundRobinLag(),
 		MaxEvents: 150000,
 	}

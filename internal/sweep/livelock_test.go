@@ -1,22 +1,43 @@
 package sweep
 
 import (
+	"math"
 	"os"
 	"strings"
 	"testing"
 
 	"github.com/fatgather/fatgather/internal/adversary"
+	"github.com/fatgather/fatgather/internal/core"
 	"github.com/fatgather/fatgather/internal/engine"
 	"github.com/fatgather/fatgather/internal/workload"
 )
 
-// livelockCell is a round-robin-lag cell that certifies a livelock well
-// inside its budget (see internal/sim/livelock_test.go).
+// nearestNeighbour is a test-only sim.Algorithm whose robots always target
+// the center of their nearest visible neighbour. Once the discs touch, every
+// grant is 0, so every run deadlocks by construction, whatever package core
+// decides (see internal/sim/livelock_test.go).
+type nearestNeighbour struct{}
+
+func (nearestNeighbour) Name() string { return "nearest-neighbour" }
+
+func (nearestNeighbour) Decide(v core.View) core.Decision {
+	target, best := v.Self, math.Inf(1)
+	for _, c := range v.Others {
+		if d := v.Self.Dist(c); d < best {
+			target, best = c, d
+		}
+	}
+	return core.Decision{Target: target}
+}
+
+// livelockCell is a round-robin-lag cell of nearestNeighbour robots that
+// certifies a livelock well inside its budget.
 func livelockCell(seed int64) engine.Cell {
 	cell := engine.Cell{
 		Workload:     workload.KindNestedHulls,
 		N:            6,
 		WorkloadSeed: seed,
+		Algorithm:    nearestNeighbour{},
 		Adversary:    adversary.NameRoundRobinLag,
 		MaxEvents:    30000,
 	}

@@ -40,10 +40,10 @@ var (
 )
 
 // Request body limits. Bodies past them are answered 413 before anything is
-// buffered beyond the limit. Both are sized from a full gatherbench suite with
-// every adaptive group grown to the default 32-seed cap: its largest record
-// (an E9/E13 cell with a livelock trace) was 112 KB, and its largest store
-// (E13) was 6.2 MB.
+// buffered beyond the limit. The record limits are sized from a full
+// gatherbench suite with every adaptive group grown to the default 32-seed
+// cap: its largest record (an E9/E13 cell with a livelock trace) was 112 KB,
+// and its largest store (E13) was 6.2 MB.
 const (
 	// MaxRecordBytes bounds one appended record line (POST .../records).
 	MaxRecordBytes = 4 << 20
@@ -52,6 +52,9 @@ const (
 	// version-mismatch discard or a reset), so this limit is for other
 	// clients.
 	MaxLogBytes = 64 << 20
+	// MaxLeaseBytes bounds a claim, renew or release request body. A
+	// worker's names a cell group and an owner in well under 1 KB.
+	MaxLeaseBytes = 64 << 10
 )
 
 // storeNameRE bounds store names to one safe path component: they name
@@ -387,9 +390,16 @@ type leaseReq struct {
 	TTLNanos int64 `json:"ttl_ns"`
 }
 
+// decodeLeaseReq reads a lease request body of at most MaxLeaseBytes (see
+// readBody) and decodes it. A body that does not decode, or lacks a group or
+// an owner, is answered 400.
 func decodeLeaseReq(w http.ResponseWriter, r *http.Request) (leaseReq, bool) {
 	var req leaseReq
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	data, ok := readBody(w, r, MaxLeaseBytes)
+	if !ok {
+		return req, false
+	}
+	if err := json.NewDecoder(bytes.NewReader(data)).Decode(&req); err != nil {
 		http.Error(w, "gatherd: bad lease request: "+err.Error(), http.StatusBadRequest)
 		return req, false
 	}

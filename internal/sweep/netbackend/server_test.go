@@ -3,6 +3,7 @@ package netbackend
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -107,9 +108,12 @@ var fuzzRoutes = []fuzzRoute{
 const maxFuzzRequests = 16
 
 // leaseMalformed reports whether a lease request body must be refused: it
-// does not decode, lacks a group or an owner, or (claim and renew) carries a
-// TTL the backend contract rejects.
+// is longer than MaxLeaseBytes, does not decode, lacks a group or an owner,
+// or (claim and renew) carries a TTL the backend contract rejects.
 func leaseMalformed(path string, body []byte) bool {
+	if len(body) > MaxLeaseBytes {
+		return true
+	}
 	var req leaseReq
 	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
 		return true
@@ -202,7 +206,11 @@ func FuzzServerHandlers(f *testing.F) {
 				case strings.HasSuffix(rt.path, "/records"):
 					checkRecords(t, label, rec, q, model[name])
 				case leaseMalformed(rt.path, b):
-					if rec.Code != http.StatusBadRequest {
+					want := http.StatusBadRequest
+					if len(b) > MaxLeaseBytes {
+						want = http.StatusRequestEntityTooLarge
+					}
+					if rec.Code != want {
 						t.Fatalf("request %d %s: malformed lease request %q answered %d", i, label, b, rec.Code)
 					}
 				case !accepted:
@@ -362,6 +370,38 @@ func TestOversizedBodiesRejected(t *testing.T) {
 	}
 	if rec := serve(t, h, http.MethodPut, "/v1/stores/s/records", "", body(srv.maxLog)); rec.Code != http.StatusNoContent {
 		t.Fatalf("replace at the limit = %d, want 204", rec.Code)
+	}
+}
+
+// TestOversizedLeaseRequestRejected: a claim whose owner string takes the
+// body one byte past MaxLeaseBytes is answered 413 and leaves the lease table
+// unchanged, while a claim at exactly the limit is decoded and arbitrated
+// (held: w1 owns the group).
+func TestOversizedLeaseRequestRejected(t *testing.T) {
+	srv, err := NewServer("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	claim := func(owner string) []byte {
+		return []byte(fmt.Sprintf(`{"group":"g","owner":%q,"ttl_ns":%d}`, owner, int64(time.Minute)))
+	}
+	if rec := serve(t, h, http.MethodPost, "/v1/stores/s/claim", "", claim("w1")); rec.Code != http.StatusOK {
+		t.Fatalf("claim = %d", rec.Code)
+	}
+	before := srv.leaseTables()
+	owner := strings.Repeat("w", MaxLeaseBytes+1-len(claim("")))
+	if body := claim(owner); len(body) != MaxLeaseBytes+1 {
+		t.Fatalf("oversized body is %d bytes, want %d", len(body), MaxLeaseBytes+1)
+	}
+	if rec := serve(t, h, http.MethodPost, "/v1/stores/s/claim", "", claim(owner)); rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("claim of %d bytes = %d, want 413", MaxLeaseBytes+1, rec.Code)
+	}
+	if got := srv.leaseTables(); !reflect.DeepEqual(got, before) {
+		t.Fatalf("an oversized claim changed the lease table: %+v, was %+v", got, before)
+	}
+	if rec := serve(t, h, http.MethodPost, "/v1/stores/s/claim", "", claim(owner[1:])); rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "held") {
+		t.Fatalf("claim at the limit = %d %q, want 200 held", rec.Code, rec.Body)
 	}
 }
 

@@ -30,7 +30,7 @@ func (m *Model) eagerVisible(centers []geom.Vec, i, j int) bool {
 	return false
 }
 
-// eagerVisiblePair is the eager Model.VisiblePair.
+// eagerVisiblePair is the eager Model.VisiblePairScratch.
 func (m *Model) eagerVisiblePair(a, b geom.Vec, obstacles []geom.Vec) bool {
 	r := m.opts.radius()
 	if len(obstacles) == 0 {

@@ -97,12 +97,13 @@ func TestVisibleScratchAllocFree(t *testing.T) {
 	}
 }
 
-// TestRadiusAccessor pins the Radius accessor to the effective option value.
+// TestRadiusAccessor pins the effective radius: the zero options resolve to
+// geom.UnitRadius and an explicit Radius is used verbatim.
 func TestRadiusAccessor(t *testing.T) {
-	if got := Default.Radius(); got != geom.UnitRadius {
-		t.Fatalf("Default.Radius() = %v, want %v", got, geom.UnitRadius)
+	if got := Default.opts.radius(); got != geom.UnitRadius {
+		t.Fatalf("Default radius = %v, want %v", got, geom.UnitRadius)
 	}
-	if got := New(Options{Radius: 2.5}).Radius(); got != 2.5 {
-		t.Fatalf("Radius() = %v, want 2.5", got)
+	if got := New(Options{Radius: 2.5}).opts.radius(); got != 2.5 {
+		t.Fatalf("radius = %v, want 2.5", got)
 	}
 }

@@ -70,10 +70,6 @@ func (m *Model) Fingerprint() string {
 // Default is a visibility model with default options (unit discs).
 var Default = New(Options{})
 
-// Radius returns the effective disc radius of the model (geom.UnitRadius for
-// the zero options).
-func (m *Model) Radius() float64 { return m.opts.radius() }
-
 // CorridorRadius returns the radius of a pair's blocking corridor,
 // 2r + BlockTol plus a rounding margin: a disc whose center is farther than
 // this from the center segment [a, b] cannot block any candidate sight line
@@ -165,15 +161,9 @@ func (m *Model) VisibleScratch(sc *Scratch, centers []geom.Vec, i, j int) bool {
 	return m.clearSightLine(a, b, sc.near)
 }
 
-// VisiblePair reports whether two discs at a and b can see each other given
-// the obstacle discs (which must not include a or b).
-func (m *Model) VisiblePair(a, b geom.Vec, obstacles []geom.Vec) bool {
-	var sc Scratch
-	return m.VisiblePairScratch(&sc, a, b, obstacles)
-}
-
-// VisiblePairScratch answers VisiblePair(a, b, obstacles) with the corridor
-// collected into the scratch's reused buffer.
+// VisiblePairScratch reports whether two discs at a and b can see each other
+// given the obstacle discs (which must not include a or b), with the
+// corridor collected into the scratch's reused buffer.
 func (m *Model) VisiblePairScratch(sc *Scratch, a, b geom.Vec, obstacles []geom.Vec) bool {
 	cor := m.Corridor(a, b)
 	sc.near = sc.near[:0]
@@ -209,47 +199,18 @@ func (m *Model) ViewCenters(centers []geom.Vec, i int) []geom.Vec {
 	return out
 }
 
-// FullVisibility reports whether robot i sees every robot in the
-// configuration.
-func (m *Model) FullVisibility(centers []geom.Vec, i int) bool {
-	var sc Scratch
-	return m.fullVisibility(&sc, centers, i)
-}
-
-func (m *Model) fullVisibility(sc *Scratch, centers []geom.Vec, i int) bool {
-	for j := range centers {
-		if !m.VisibleScratch(sc, centers, i, j) {
-			return false
-		}
-	}
-	return true
-}
-
 // FullyVisible reports whether every robot sees every other robot (the
 // paper's "fully visible configuration").
 func (m *Model) FullyVisible(centers []geom.Vec) bool {
 	var sc Scratch
 	for i := range centers {
-		if !m.fullVisibility(&sc, centers, i) {
-			return false
-		}
-	}
-	return true
-}
-
-// VisibilityCount returns the number of ordered pairs (i, j), i != j, such
-// that robot i sees robot j. The maximum is n*(n-1).
-func (m *Model) VisibilityCount(centers []geom.Vec) int {
-	var sc Scratch
-	count := 0
-	for i := range centers {
 		for j := range centers {
-			if i != j && m.VisibleScratch(&sc, centers, i, j) {
-				count++
+			if !m.VisibleScratch(&sc, centers, i, j) {
+				return false
 			}
 		}
 	}
-	return count
+	return true
 }
 
 // clearSightLine is the visibility kernel: it reports whether some candidate
