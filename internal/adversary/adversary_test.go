@@ -2,6 +2,7 @@ package adversary
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -138,6 +139,83 @@ func TestGreedyStallDelaysHullShrinker(t *testing.T) {
 	}
 	if a := g.Move(1, 4, env); a.Distance != 4 {
 		t.Fatalf("non-victim move ruling %+v, want full remaining", a)
+	}
+}
+
+// randomEnv draws n robots in a square, about half of them moving toward a
+// random target.
+func randomEnv(rng *rand.Rand, n int) Env {
+	env := Env{States: make([]robot.State, n), Centers: make([]geom.Vec, n), Targets: make([]geom.Vec, n)}
+	for i := 0; i < n; i++ {
+		env.States[i] = robot.Wait
+		env.Centers[i] = geom.V(rng.Float64()*40, rng.Float64()*40)
+		if rng.Intn(2) == 0 {
+			env.States[i] = robot.Move
+			env.Targets[i] = geom.V(rng.Float64()*40, rng.Float64()*40)
+		}
+	}
+	return env
+}
+
+// TestGreedyStallVictimMatchesConvexHull checks victimOf, which computes its
+// hulls in a reused HullScratch, against the same rule evaluated with the
+// allocating geom.ConvexHull, on random Envs of varying size (so the scratch
+// is reused across shrinking and growing inputs).
+func TestGreedyStallVictimMatchesConvexHull(t *testing.T) {
+	reference := func(env Env) int {
+		if len(env.Centers) < 3 {
+			return -1
+		}
+		area := geom.PolygonArea(geom.ConvexHull(env.Centers))
+		victim, bestShrink := -1, 0.0
+		for i, st := range env.States {
+			if st != robot.Move {
+				continue
+			}
+			pts := append([]geom.Vec(nil), env.Centers...)
+			pts[i] = env.Targets[i]
+			if shrink := area - geom.PolygonArea(geom.ConvexHull(pts)); shrink > bestShrink+geom.Eps {
+				bestShrink, victim = shrink, i
+			}
+		}
+		return victim
+	}
+	g := NewGreedyStall()
+	rng := rand.New(rand.NewSource(5))
+	victims := 0
+	for trial := 0; trial < 500; trial++ {
+		env := randomEnv(rng, 2+rng.Intn(30))
+		want := reference(env)
+		if got := g.victimOf(env); got != want {
+			t.Fatalf("trial %d (n=%d): victim %d, reference %d", trial, len(env.Centers), got, want)
+		}
+		if want >= 0 {
+			victims++
+		}
+	}
+	if victims == 0 {
+		t.Fatal("no trial had a victim; the Envs do not exercise the rule")
+	}
+}
+
+// TestGreedyStallAllocFree pins a warmed Next plus Move at zero allocations:
+// the strategy runs once per event of every greedy-stall sweep cell.
+func TestGreedyStallAllocFree(t *testing.T) {
+	env := randomEnv(rand.New(rand.NewSource(9)), 24)
+	cands := make([]int, len(env.Centers))
+	for i := range cands {
+		cands[i] = i
+	}
+	g := NewGreedyStall()
+	step := func() {
+		id := g.Next(cands, env)
+		g.Move(id, 1, env)
+	}
+	for i := 0; i < 2*greedyStarveLimit; i++ {
+		step() // warm the buffers and the starvation counters
+	}
+	if a := testing.AllocsPerRun(100, step); a != 0 {
+		t.Fatalf("warmed GreedyStall Next+Move allocates %v allocs/op, want 0", a)
 	}
 }
 

@@ -33,8 +33,13 @@ type GreedyStall struct {
 	// within one event, so Move can reuse it instead of recomputing the
 	// hulls.
 	lastVictim int
-	// scratch is the candidate-configuration buffer reused by victimOf.
+	// scratch is the candidate-configuration buffer reused by victimOf, and
+	// hs its hull buffers: HullScratch.ConvexHull is bit-identical to
+	// geom.ConvexHull, so the areas compared are the same.
 	scratch []geom.Vec
+	hs      geom.HullScratch
+	// others is Next's buffer of the candidates other than the victim.
+	others []int
 }
 
 // NewGreedyStall returns a greedy hull-stalling strategy.
@@ -52,7 +57,7 @@ func (g *GreedyStall) victimOf(env Env) int {
 	if len(env.Centers) < 3 {
 		return -1 // hull area is identically zero; nothing to stall on
 	}
-	area := geom.PolygonArea(geom.ConvexHull(env.Centers))
+	area := geom.PolygonArea(g.hs.ConvexHull(env.Centers))
 	if cap(g.scratch) < len(env.Centers) {
 		g.scratch = make([]geom.Vec, len(env.Centers))
 	}
@@ -64,7 +69,7 @@ func (g *GreedyStall) victimOf(env Env) int {
 		}
 		copy(pts, env.Centers)
 		pts[i] = env.Targets[i]
-		shrink := area - geom.PolygonArea(geom.ConvexHull(pts))
+		shrink := area - geom.PolygonArea(g.hs.ConvexHull(pts))
 		if shrink > bestShrink+geom.Eps {
 			bestShrink = shrink
 			victim = i
@@ -86,17 +91,17 @@ func (g *GreedyStall) Next(candidates []int, env Env) int {
 		g.starved[v] = 0
 		return v
 	}
-	others := make([]int, 0, len(candidates))
+	g.others = g.others[:0]
 	for _, c := range candidates {
 		if c != v {
-			others = append(others, c)
+			g.others = append(g.others, c)
 		}
 	}
-	if len(others) == 0 {
+	if len(g.others) == 0 {
 		g.starved[v] = 0
 		return v
 	}
-	return g.rr.pick(others)
+	return g.rr.pick(g.others)
 }
 
 // Move implements Strategy: the current victim (cached from the Next call of

@@ -63,60 +63,79 @@ func ComponentGapTol(m int) float64 {
 // larger gaps split components. The components are returned in
 // counter-clockwise order starting from an arbitrary but deterministic gap.
 func ConnectedComponents(points []geom.Vec, m int) []Component {
-	ordered := hullCycleOrder(points)
+	var w componentScratch
+	return w.partition(hullCycleOrder(points), m)
+}
+
+// componentScratch holds the buffers of one Connected-Components partition
+// and of the How-Much-Distance gaps computed from it.
+type componentScratch struct {
+	gapAfter []float64
+	rotated  []geom.Vec
+	comps    []Component
+	gaps     []float64
+}
+
+// partition splits points already in cyclic hull order into components (see
+// ConnectedComponents). The components and their members alias ordered or
+// the scratch, so they are valid until the next call.
+func (w *componentScratch) partition(ordered []geom.Vec, m int) []Component {
 	n := len(ordered)
 	if n == 0 {
 		return nil
 	}
+	w.comps = w.comps[:0]
 	if n == 1 {
-		return []Component{{Members: ordered}}
+		w.comps = append(w.comps, Component{Members: ordered})
+		return w.comps
 	}
 	tol := ComponentGapTol(m)
 	// gapAfter[i] is the free gap between ordered[i] and ordered[i+1 mod n].
-	gapAfter := make([]float64, n)
+	w.gapAfter = w.gapAfter[:0]
 	splitExists := false
 	for i := range ordered {
 		j := (i + 1) % n
-		gapAfter[i] = ordered[i].Dist(ordered[j]) - 2*geom.UnitRadius
-		if gapAfter[i] > tol {
+		gap := ordered[i].Dist(ordered[j]) - 2*geom.UnitRadius
+		w.gapAfter = append(w.gapAfter, gap)
+		if gap > tol {
 			splitExists = true
 		}
 	}
 	if !splitExists {
-		return []Component{{Members: ordered}}
+		w.comps = append(w.comps, Component{Members: ordered})
+		return w.comps
 	}
-	// Start right after the first splitting gap so components are contiguous.
+	// Start right after the first splitting gap so components are contiguous
+	// in the rotated order.
 	start := 0
-	for i := range gapAfter {
-		if gapAfter[i] > tol {
+	for i, gap := range w.gapAfter {
+		if gap > tol {
 			start = (i + 1) % n
 			break
 		}
 	}
-	var comps []Component
-	var cur []geom.Vec
+	w.rotated = append(append(w.rotated[:0], ordered[start:]...), ordered[:start]...)
+	lo := 0
 	for k := 0; k < n; k++ {
-		i := (start + k) % n
-		cur = append(cur, ordered[i])
-		if gapAfter[i] > tol {
-			comps = append(comps, Component{Members: cur})
-			cur = nil
+		if w.gapAfter[(start+k)%n] > tol {
+			w.comps = append(w.comps, Component{Members: w.rotated[lo : k+1 : k+1]})
+			lo = k + 1
 		}
 	}
-	if len(cur) > 0 {
-		comps = append(comps, Component{Members: cur})
+	if lo < n {
+		w.comps = append(w.comps, Component{Members: w.rotated[lo:n:n]})
 	}
-	return comps
+	return w.comps
 }
 
-// hullCycleOrder orders the points counter-clockwise around the centroid,
-// which for points on (or near) a convex hull is the cyclic hull order. For a
-// degenerate, collinear set the points are ordered along the line.
+// hullCycleOrder orders the points counter-clockwise along the boundary of
+// their convex hull, which for points on (or near) the hull is the cyclic
+// hull order. For a degenerate, collinear set the points are ordered along
+// the line.
 func hullCycleOrder(points []geom.Vec) []geom.Vec {
-	corners := geom.ConvexHull(points)
-	interior := geom.Centroid(points)
+	var ord onHullSorter
 	slack := math.Inf(1) // include every point: callers guarantee on-hull
-	return orderOnHull(points, corners, slack, interior)
+	return ord.order(nil, points, geom.ConvexHull(points), slack)
 }
 
 // componentIndexOf returns the index of the component containing p, or -1.
@@ -129,16 +148,16 @@ func componentIndexOf(comps []Component, p geom.Vec) int {
 	return -1
 }
 
-// componentGaps returns, for each component i, the free gap between its
-// rightmost robot and the leftmost robot of component (i+1) mod k.
-func componentGaps(comps []Component) []float64 {
+// appendComponentGaps appends, for each component i, the free gap between
+// its rightmost robot and the leftmost robot of component (i+1) mod k, and
+// returns the extended slice.
+func appendComponentGaps(dst []float64, comps []Component) []float64 {
 	k := len(comps)
-	gaps := make([]float64, k)
 	for i := range comps {
 		next := comps[(i+1)%k]
-		gaps[i] = comps[i].Rightmost().Dist(next.Leftmost()) - 2*geom.UnitRadius
+		dst = append(dst, comps[i].Rightmost().Dist(next.Leftmost())-2*geom.UnitRadius)
 	}
-	return gaps
+	return dst
 }
 
 // gapEqualityTol is the tolerance used when comparing inter-component gaps
@@ -154,11 +173,17 @@ const gapEqualityTol = 1e-6
 //	  neighbour component is the smallest gap;
 //	3 otherwise.
 func HowMuchDistance(points []geom.Vec, c geom.Vec, m int) int {
-	comps := ConnectedComponents(points, m)
+	var w componentScratch
+	return w.howMuchDistance(w.partition(hullCycleOrder(points), m), c)
+}
+
+// howMuchDistance is HowMuchDistance on components already partitioned.
+func (w *componentScratch) howMuchDistance(comps []Component, c geom.Vec) int {
 	if len(comps) <= 1 {
 		return 2
 	}
-	gaps := componentGaps(comps)
+	w.gaps = appendComponentGaps(w.gaps[:0], comps)
+	gaps := w.gaps
 	minGap, maxGap := math.Inf(1), math.Inf(-1)
 	for _, g := range gaps {
 		minGap = math.Min(minGap, g)

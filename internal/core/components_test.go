@@ -143,7 +143,7 @@ func TestHowMuchDistance(t *testing.T) {
 func TestComponentGaps(t *testing.T) {
 	pts := []geom.Vec{v(0, 0), v(2, 0), v(10, 0), v(5, 8)}
 	comps := ConnectedComponents(pts, len(pts))
-	gaps := componentGaps(comps)
+	gaps := appendComponentGaps(nil, comps)
 	if len(gaps) != len(comps) {
 		t.Fatalf("gap count %d != component count %d", len(gaps), len(comps))
 	}

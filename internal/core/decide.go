@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sync"
 
 	"github.com/fatgather/fatgather/internal/geom"
 	"github.com/fatgather/fatgather/internal/vision"
@@ -37,23 +38,74 @@ func (d Decision) Stays(self geom.Vec) bool {
 
 // Decide runs the paper's 17-state local algorithm (Section 4) on the given
 // view and returns the resulting decision. It is a pure function of the view:
-// robots are oblivious, so nothing persists between calls.
+// robots are oblivious, so nothing persists between calls. The decision is
+// computed in a pooled workspace whose buffers are scratch only; the returned
+// Trace is the one slice it allocates.
 func Decide(v View) Decision {
-	d := &decider{view: v, hull: buildHullInfo(v)}
-	return d.run()
+	d := deciders.Get().(*decider)
+	d.reset(v)
+	out := d.run()
+	d.view = View{} // do not keep the caller's Others alive in the pool
+	deciders.Put(d)
+	return out
 }
 
-// decider carries the per-decision derived data shared by the procedures,
-// plus scratch buffers reused across the O(view^2) visibility queries a single
-// decision can issue (viewFullyVisible, selfBlocksPair).
+// deciders pools the decision workspaces. The simulator's engine shares one
+// Algorithm across its workers, so the workspace cannot live in the
+// algorithm value; a pool hands each concurrent Decide its own.
+var deciders = sync.Pool{New: func() any { return new(decider) }}
+
+// decider is the workspace of one decision: the derived data shared by the
+// procedures and every buffer they need. Each buffer is truncated before use,
+// so nothing a previous decision left in it can reach the output.
 type decider struct {
 	view View
-	hull *hullInfo
+	hull hullInfo
 
 	trace []AlgState
 
+	hs    geom.HullScratch // the view's hull; hull.corners aliases it
+	augHS geom.HullScratch // the augmented hull of procNotOnStraightLine
+	ord   onHullSorter
+
+	// Procedure AllOnConvexHull's tangency search.
+	seen  []bool
+	stack []int
+	// Procedure NotOnStraightLine's augmented boundary, before and after
+	// ordering.
+	aug, augOrdered []geom.Vec
+	// Procedure NotConnected's components, and its hull order of a view
+	// with more points than N.
+	comps   componentScratch
+	ordered []geom.Vec
+	// Find-Points on hull.onHull, computed at most once per decision
+	// (pointsDone).
+	fp         findPointsScratch
+	pointsDone bool
+	// Procedure IsTouching's touching robots and tied contenders.
+	touchers, contenders []geom.Vec
+
+	// Visibility scratch reused across the O(view^2) visibility queries a
+	// single decision can issue (viewFullyVisible, selfBlocksPair).
 	vsc    vision.Scratch
 	obsBuf []geom.Vec
+}
+
+// reset prepares the workspace for deciding v.
+func (d *decider) reset(v View) {
+	d.view = v
+	d.trace = d.trace[:0]
+	d.pointsDone = false
+	d.hull.build(v, &d.hs, &d.ord)
+}
+
+// findPoints returns FindPoints(hull.onHull, N), computing it on first use.
+func (d *decider) findPoints() []geom.Vec {
+	if !d.pointsDone {
+		d.fp.find(d.hull.onHull, d.view.N)
+		d.pointsDone = true
+	}
+	return d.fp.out
 }
 
 func (d *decider) run() Decision {
@@ -108,11 +160,16 @@ func (d *decider) output(target geom.Vec) Decision {
 	if !target.IsFinite() {
 		target = d.view.Self
 	}
-	return Decision{Target: target, Trace: d.trace}
+	return Decision{Target: target, Trace: d.traceCopy()}
 }
 
 func (d *decider) terminate() Decision {
-	return Decision{Target: d.view.Self, Terminate: true, Trace: d.trace}
+	return Decision{Target: d.view.Self, Terminate: true, Trace: d.traceCopy()}
+}
+
+// traceCopy copies the trace out of the workspace.
+func (d *decider) traceCopy() []AlgState {
+	return append(make([]AlgState, 0, len(d.trace)), d.trace...)
 }
 
 // --- Non-terminal procedures (state transitions) ---
@@ -134,7 +191,7 @@ func (d *decider) procStart() AlgState {
 // with the same visibility predicate the Look state uses.
 func (d *decider) procOnConvexHull() AlgState {
 	v := d.view
-	h := d.hull
+	h := &d.hull
 	if !v.SeesAll() || len(h.onHull) < v.N {
 		return StateNotAllOnConvexHull
 	}
@@ -152,18 +209,18 @@ func (d *decider) procAllOnConvexHull() AlgState {
 	if n <= 1 {
 		return StateConnected
 	}
-	seen := make([]bool, n)
-	stack := []int{0}
-	seen[0] = true
+	d.seen = append(d.seen[:0], make([]bool, n)...)
+	d.stack = append(d.stack[:0], 0)
+	d.seen[0] = true
 	count := 1
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+	for len(d.stack) > 0 {
+		cur := d.stack[len(d.stack)-1]
+		d.stack = d.stack[:len(d.stack)-1]
 		for j := 0; j < n; j++ {
-			if !seen[j] && tangent(all[cur], all[j]) {
-				seen[j] = true
+			if !d.seen[j] && tangent(all[cur], all[j]) {
+				d.seen[j] = true
 				count++
-				stack = append(stack, j)
+				d.stack = append(d.stack, j)
 			}
 		}
 	}
@@ -191,7 +248,7 @@ func (d *decider) procNotAllOnConvexHull() AlgState {
 // procNotOnStraightLine implements Procedure NotOnStraightLine (4.2.7).
 func (d *decider) procNotOnStraightLine() AlgState {
 	v := d.view
-	h := d.hull
+	h := &d.hull
 	if len(h.onHull) >= v.N {
 		return StateSpaceForMore
 	}
@@ -204,17 +261,17 @@ func (d *decider) procNotOnStraightLine() AlgState {
 	// The robot cannot see everyone: project the robots it can see that are
 	// not on the hull onto the hull boundary (along the ray from the robot
 	// itself) and check the augmented hull for space.
-	augmented := append([]geom.Vec(nil), h.onHull...)
+	d.aug = append(d.aug[:0], h.onHull...)
 	for _, c := range h.all {
 		if h.indexOf(c) >= 0 {
 			continue
 		}
 		if proj, ok := projectOntoHull(d.view.Self, c, h.corners); ok {
-			augmented = append(augmented, proj)
+			d.aug = append(d.aug, proj)
 		}
 	}
-	augmented = orderOnHull(augmented, geom.ConvexHull(augmented), math.Inf(1), geom.Centroid(augmented))
-	if hullHasGap(augmented, MinGapForRobot) {
+	d.augOrdered = d.ord.order(d.augOrdered[:0], d.aug, d.augHS.ConvexHull(d.aug), math.Inf(1))
+	if hullHasGap(d.augOrdered, MinGapForRobot) {
 		return StateSpaceForMore
 	}
 	return StateNoSpaceForMore
@@ -244,7 +301,7 @@ func (d *decider) procNotOnConvexHull() AlgState {
 
 // procNotTouching implements Procedure NotTouching (4.2.15).
 func (d *decider) procNotTouching() AlgState {
-	if len(FindPoints(d.hull.onHull, d.view.N)) > 0 {
+	if len(d.findPoints()) > 0 {
 		return StateNotChange
 	}
 	return StateToChange
@@ -258,7 +315,7 @@ func (d *decider) procNotTouching() AlgState {
 // fully visible but not tangency-connected.
 func (d *decider) procNotConnected() geom.Vec {
 	v := d.view
-	h := d.hull
+	h := &d.hull
 	self := v.Self
 	n := v.N
 	all := h.all
@@ -287,7 +344,18 @@ func (d *decider) procNotConnected() geom.Vec {
 		return self
 	}
 
-	comps := ConnectedComponents(all, n)
+	// Connected-Components orders its points along the hull with unbounded
+	// slack; when every view point is within the on-hull slack (a view of at
+	// most N points, which is every view the simulator builds), that order is
+	// h.onHull itself: same points, same corners, same sort. A view with more
+	// points than N may leave some off h.onHull; they are ordered in on the
+	// same corners.
+	ordered := h.onHull
+	if len(ordered) < len(all) {
+		d.ordered = d.ord.order(d.ordered[:0], all, h.corners, math.Inf(1))
+		ordered = d.ordered
+	}
+	comps := d.comps.partition(ordered, n)
 	if len(comps) == 1 {
 		if !touchingAny(self, all) {
 			// Sub-tangency gaps on both sides: converge inward.
@@ -335,7 +403,7 @@ func (d *decider) procNotConnected() geom.Vec {
 		// neighbour), exactly as in the paper's cascading argument.
 		return MoveToPoint(self, right, n, h.interior)
 	}
-	switch HowMuchDistance(all, self, n) {
+	switch d.comps.howMuchDistance(comps, self) {
 	case 1:
 		return MoveToPoint(self, right, n, h.interior) // case (B)
 	case 2:
@@ -356,7 +424,7 @@ func (d *decider) procNotConnected() geom.Vec {
 func (d *decider) convergeStep(idx int, comps []Component, checkTouch bool) geom.Vec {
 	self := d.view.Self
 	n := d.view.N
-	h := d.hull
+	h := &d.hull
 	ci := componentIndexOf(comps, self)
 	if ci < 0 {
 		return self
@@ -396,7 +464,7 @@ func (d *decider) convergeStep(idx int, comps []Component, checkTouch bool) geom
 // that is tangent to a non-adjacent hull robot steps outward by 1/(2n)−ε so
 // that it no longer obstructs views; otherwise it stays.
 func (d *decider) procSpaceForMore() geom.Vec {
-	h := d.hull
+	h := &d.hull
 	self := d.view.Self
 	idx := h.indexOf(self)
 	if idx < 0 {
@@ -419,7 +487,7 @@ func (d *decider) procSpaceForMore() geom.Vec {
 // robot steps outward by 1/(2n)−ε to expand the hull and make room for the
 // robots that are still inside it.
 func (d *decider) procNoSpaceForMore() geom.Vec {
-	h := d.hull
+	h := &d.hull
 	self := d.view.Self
 	idx := h.indexOf(self)
 	if idx < 0 {
@@ -435,7 +503,7 @@ func (d *decider) procNoSpaceForMore() geom.Vec {
 // (away from the hull interior, perpendicular to the chord of that pair) by
 // at most 1/(2n)−ε per cycle until the obstruction is gone.
 func (d *decider) procSeeTwoRobot() geom.Vec {
-	h := d.hull
+	h := &d.hull
 	self := d.view.Self
 	n := d.view.N
 	step := HalfStep(n)
@@ -466,12 +534,12 @@ func (d *decider) procSeeTwoRobot() geom.Vec {
 // that touches others competes with them for the nearest free spot on the
 // hull; only the robot with the highest proximity moves.
 func (d *decider) procIsTouching() geom.Vec {
-	h := d.hull
+	h := &d.hull
 	self := d.view.Self
-	n := d.view.N
-	touchers := touchingNeighbours(self, h.all)
+	d.touchers = appendTouching(d.touchers[:0], self, h.all)
+	touchers := d.touchers
 
-	points := FindPoints(h.onHull, n)
+	points := d.findPoints()
 	if len(points) > 0 {
 		p := closestTo(points, self)
 		return d.contendForTarget(p, touchers)
@@ -491,19 +559,19 @@ func (d *decider) contendForTarget(target geom.Vec, touchers []geom.Vec) geom.Ve
 	self := d.view.Self
 	dSelf := self.Dist(target)
 	const tieTol = 1e-9
-	var tied []geom.Vec
+	// contenders is the robot itself followed by the touchers tied with it.
+	d.contenders = append(d.contenders[:0], self)
 	for _, q := range touchers {
 		dq := q.Dist(target)
 		if dq < dSelf-tieTol {
 			return self
 		}
 		if math.Abs(dq-dSelf) <= tieTol {
-			tied = append(tied, q)
+			d.contenders = append(d.contenders, q)
 		}
 	}
-	if len(tied) > 0 {
-		contenders := append([]geom.Vec{self}, tied...)
-		if !rightmostToward(contenders, target).EqWithin(self, geom.Eps) {
+	if len(d.contenders) > 1 {
+		if !rightmostToward(d.contenders, target).EqWithin(self, geom.Eps) {
 			return self
 		}
 	}
@@ -515,7 +583,7 @@ func (d *decider) contendForTarget(target geom.Vec, touchers []geom.Vec) geom.Ve
 // the nearest hull gap that can accommodate a robot (changing the hull, which
 // in this situation is unavoidable).
 func (d *decider) procToChange() geom.Vec {
-	h := d.hull
+	h := &d.hull
 	self := d.view.Self
 	mid, ok := widestGapMidpointNear(h.onHull, self, MinGapForRobot)
 	if !ok {
@@ -527,9 +595,8 @@ func (d *decider) procToChange() geom.Vec {
 // procNotChange implements Procedure NotChange (4.2.17): move toward the
 // closest Find-Points candidate, stopping on the hull boundary.
 func (d *decider) procNotChange() geom.Vec {
-	h := d.hull
 	self := d.view.Self
-	points := FindPoints(h.onHull, d.view.N)
+	points := d.findPoints()
 	if len(points) == 0 {
 		return self
 	}
@@ -543,7 +610,7 @@ func (d *decider) procNotChange() geom.Vec {
 // hull triple whose middle point is within `width` of the chord of the outer
 // two (the Figure 5 rectangle test).
 func (d *decider) selfInFlatHullTriple(width float64) bool {
-	h := d.hull
+	h := &d.hull
 	n := len(h.onHull)
 	if n < 3 {
 		return false
@@ -569,7 +636,7 @@ func (d *decider) selfInFlatHullTriple(width float64) bool {
 // selfMiddleOfFlatHullTriple reports whether the robot is the middle point of
 // a flat consecutive hull triple.
 func (d *decider) selfMiddleOfFlatHullTriple(width float64) bool {
-	h := d.hull
+	h := &d.hull
 	n := len(h.onHull)
 	if n < 3 {
 		return false

@@ -19,6 +19,20 @@
 //     algorithmic state machine of Figure 4 and returns either a target point
 //     in the plane or the special "terminate" output (the paper's ⊥).
 //
+// # The decision workspace
+//
+// Decide computes in a workspace taken from a package sync.Pool: the view's
+// points, its hull (computed once per decision), the on-hull order, the
+// components, the Find-Points candidates (computed at most once per
+// decision) and the visibility scratch. The pool exists only to save
+// allocations; the workspace is scratch, not state. Every buffer is
+// truncated before use and the only thing copied out is Decision.Trace, so
+// Decide stays a pure function of its View — the paper's robots are
+// oblivious — whichever workspace it gets and whatever that workspace
+// decided before. Concurrent Decide calls each get their own workspace. A
+// pinned digest of the decisions on a fixed corpus of views, decided in
+// different orders and concurrently, guards this (workspace_test.go).
+//
 // # Conventions and documented deviations
 //
 // Chirality. The paper assumes robots agree on the orientation of their local

@@ -48,7 +48,8 @@ func MoveToPoint(c1, c2 geom.Vec, m int, interior geom.Vec) geom.Vec {
 	offset := 1/(2*float64(m)) - Epsilon(m)
 	c := c2.Add(perp.Scale(offset))
 	circle := geom.UnitDisc(c2)
-	pts := geom.SegmentCircleIntersections(c1, c, circle)
+	var buf [2]geom.Vec
+	pts := geom.AppendSegmentCircleIntersections(buf[:0], c1, c, circle)
 	if len(pts) == 0 {
 		// c1 is inside (or numerically on) the unit circle around c2; fall
 		// back to the offset point itself, which is inside the disc: motion
@@ -102,19 +103,34 @@ func TangencyTarget(c1, c2, mu geom.Vec) geom.Vec {
 // leaves every current on-hull point on the hull and it does not overlap any
 // existing disc.
 func FindPoints(onCH []geom.Vec, n int) []geom.Vec {
+	var w findPointsScratch
+	return w.find(onCH, n)
+}
+
+// findPointsScratch holds the buffers of Find-Points: its candidates, and
+// the augmented point set and hull of the validity test.
+type findPointsScratch struct {
+	hs  geom.HullScratch
+	aug []geom.Vec
+	out []geom.Vec
+}
+
+// find is FindPoints into the scratch; the result is valid until the next
+// call.
+func (w *findPointsScratch) find(onCH []geom.Vec, n int) []geom.Vec {
 	if n < 1 {
 		n = 1
 	}
+	w.out = w.out[:0]
 	m := len(onCH)
 	if m < 2 {
-		return nil
+		return w.out
 	}
 	interior := geom.Centroid(onCH)
 	pairs := m
 	if m == 2 {
 		pairs = 1 // a two-point "hull" has a single side, not a cycle
 	}
-	var out []geom.Vec
 	for i := 0; i < pairs; i++ {
 		cl := onCH[i]
 		cr := onCH[(i+1)%m]
@@ -132,37 +148,24 @@ func FindPoints(onCH []geom.Vec, n int) []geom.Vec {
 			outward = outward.Neg()
 		}
 		p := mid.Add(outward.Scale(1 / float64(n)))
-		if !findPointValid(p, onCH) {
+		if !w.valid(p, onCH) {
 			continue
 		}
-		out = append(out, p)
+		w.out = append(w.out, p)
 	}
-	return out
+	return w.out
 }
 
-// findPointValid reports whether placing a unit disc at p keeps every current
-// on-hull point on the hull (Lemma 1) and does not overlap an existing disc.
-func findPointValid(p geom.Vec, onCH []geom.Vec) bool {
+// valid reports whether placing a unit disc at p keeps every current on-hull
+// point on the hull (Lemma 1) and does not overlap an existing disc.
+func (w *findPointsScratch) valid(p geom.Vec, onCH []geom.Vec) bool {
 	for _, q := range onCH {
 		if p.Dist(q) < 2*geom.UnitRadius-geom.Eps {
 			return false
 		}
 	}
-	augmented := append(append([]geom.Vec(nil), onCH...), p)
-	newOn := geom.ConvexHullWithCollinear(augmented)
-	for _, q := range onCH {
-		found := false
-		for _, r := range newOn {
-			if r.EqWithin(q, geom.Eps) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
+	w.aug = append(append(w.aug[:0], onCH...), p)
+	return w.hs.CollinearHullContains(w.aug, onCH)
 }
 
 // InStraightLine2 implements the paper's Function In-Straight-Line-2

@@ -113,7 +113,8 @@ func TestFindPointsSquareWithSpace(t *testing.T) {
 			t.Fatalf("candidate %v should be outside the hull", p)
 		}
 		// And adding it must keep all hull points on the hull (Lemma 1).
-		if !findPointValid(p, hull) {
+		var w findPointsScratch
+		if !w.valid(p, hull) {
 			t.Fatalf("candidate %v reported invalid", p)
 		}
 		for _, q := range hull {

@@ -72,88 +72,106 @@ func OnHullSlack(n int) float64 {
 const MinGapForRobot = 4 * geom.UnitRadius
 
 // hullInfo is the per-decision digest of the view's convex-hull structure.
+// Its slices are decider buffers, rebuilt by build for every decision.
 type hullInfo struct {
 	all      []geom.Vec // every visible center (self first)
-	corners  []geom.Vec // convex hull corner vertices, CCW
+	corners  []geom.Vec // convex hull corner vertices, CCW; aliases the decider's HullScratch
 	onHull   []geom.Vec // centers within slack of the hull boundary, CCW order
 	selfIdx  int        // index of Self in onHull, or -1
 	interior geom.Vec   // a point in the hull interior (centroid of all)
-	slack    float64
 }
 
-// buildHullInfo computes the hull digest for a view.
-func buildHullInfo(v View) *hullInfo {
-	all := v.All()
-	slack := OnHullSlack(v.N)
-	corners := geom.ConvexHull(all)
-	interior := geom.Centroid(all)
-	onHull := orderOnHull(all, corners, slack, interior)
-	selfIdx := -1
-	for i, p := range onHull {
+// build computes the hull digest of a view, computing the view's hull once,
+// into hs, and ordering its boundary points with ord.
+func (h *hullInfo) build(v View, hs *geom.HullScratch, ord *onHullSorter) {
+	h.all = append(append(h.all[:0], v.Self), v.Others...)
+	h.corners = hs.ConvexHull(h.all)
+	h.interior = geom.Centroid(h.all)
+	h.onHull = ord.order(h.onHull[:0], h.all, h.corners, OnHullSlack(v.N))
+	h.selfIdx = -1
+	for i, p := range h.onHull {
 		if p.EqWithin(v.Self, geom.Eps) {
-			selfIdx = i
+			h.selfIdx = i
 			break
 		}
 	}
-	return &hullInfo{
-		all:      all,
-		corners:  corners,
-		onHull:   onHull,
-		selfIdx:  selfIdx,
-		interior: interior,
-		slack:    slack,
-	}
 }
 
-// orderOnHull returns the points of all that lie within slack of the boundary
-// of the convex hull with the given corners, ordered counter-clockwise by
-// angle around the interior point.
-func orderOnHull(all, corners []geom.Vec, slack float64, interior geom.Vec) []geom.Vec {
-	var onHull []geom.Vec
+// onHullSorter holds the sort buffers of orderOnHull. Its typed sorters run
+// sort.Sort and sort.Stable, the same pdqsort and insertion-merge code as
+// sort.Slice and sort.SliceStable, so they order ties exactly alike, without
+// the reflect swapper's allocation.
+type onHullSorter struct {
+	keyed byBoundaryKey
+	axis  alongAxis
+}
+
+// order appends to dst (which must not overlap all) the points of all that
+// lie within slack of the boundary of the convex hull with the given
+// corners, ordered counter-clockwise along the boundary, and returns the
+// extended slice.
+func (s *onHullSorter) order(dst, all, corners []geom.Vec, slack float64) []geom.Vec {
 	switch len(corners) {
 	case 0:
-		return nil
+		return dst
 	case 1:
 		for _, p := range all {
 			if p.Dist(corners[0]) <= slack {
-				onHull = append(onHull, p)
+				dst = append(dst, p)
 			}
 		}
-		return onHull
+		return dst
 	case 2:
+		start := len(dst)
 		for _, p := range all {
 			if geom.DistancePointSegment(p, corners[0], corners[1]) <= slack {
-				onHull = append(onHull, p)
+				dst = append(dst, p)
 			}
 		}
-		axis := corners[1].Sub(corners[0])
-		sort.Slice(onHull, func(i, j int) bool {
-			return onHull[i].Sub(corners[0]).Dot(axis) < onHull[j].Sub(corners[0]).Dot(axis)
-		})
-		return onHull
-	}
-	for _, p := range all {
-		if distToHullBoundary(p, corners) <= slack {
-			onHull = append(onHull, p)
-		}
+		s.axis = alongAxis{pts: dst[start:], origin: corners[0], axis: corners[1].Sub(corners[0])}
+		sort.Sort(&s.axis)
+		s.axis.pts = nil
+		return dst
 	}
 	// Order by position along the hull boundary (edge index plus the
 	// fractional position on that edge). Unlike an angular sort around the
 	// centroid, this stays stable for thin, nearly-collinear hulls.
-	type keyed struct {
-		p   geom.Vec
-		key float64
+	s.keyed.items = s.keyed.items[:0]
+	for _, p := range all {
+		if distToHullBoundary(p, corners) <= slack {
+			s.keyed.items = append(s.keyed.items, keyedPoint{p: p, key: boundaryKey(p, corners)})
+		}
 	}
-	items := make([]keyed, len(onHull))
-	for i, p := range onHull {
-		items[i] = keyed{p: p, key: boundaryKey(p, corners)}
+	sort.Stable(&s.keyed)
+	for _, it := range s.keyed.items {
+		dst = append(dst, it.p)
 	}
-	sort.SliceStable(items, func(i, j int) bool { return items[i].key < items[j].key })
-	for i, it := range items {
-		onHull[i] = it.p
-	}
-	return onHull
+	return dst
 }
+
+type keyedPoint struct {
+	p   geom.Vec
+	key float64
+}
+
+// byBoundaryKey sorts boundary points by their boundaryKey.
+type byBoundaryKey struct{ items []keyedPoint }
+
+func (s *byBoundaryKey) Len() int           { return len(s.items) }
+func (s *byBoundaryKey) Less(i, j int) bool { return s.items[i].key < s.items[j].key }
+func (s *byBoundaryKey) Swap(i, j int)      { s.items[i], s.items[j] = s.items[j], s.items[i] }
+
+// alongAxis sorts points by their projection on axis, measured from origin.
+type alongAxis struct {
+	pts          []geom.Vec
+	origin, axis geom.Vec
+}
+
+func (s *alongAxis) Len() int { return len(s.pts) }
+func (s *alongAxis) Less(i, j int) bool {
+	return s.pts[i].Sub(s.origin).Dot(s.axis) < s.pts[j].Sub(s.origin).Dot(s.axis)
+}
+func (s *alongAxis) Swap(i, j int) { s.pts[i], s.pts[j] = s.pts[j], s.pts[i] }
 
 // boundaryKey maps a point near the hull boundary to a monotone parameter
 // along the boundary: (index of the closest edge) + (fraction along it).
@@ -277,17 +295,16 @@ func touchingAny(p geom.Vec, pts []geom.Vec) bool {
 	return false
 }
 
-// touchingNeighbours returns the centers in pts whose discs touch the disc at
-// p (excluding p itself).
-func touchingNeighbours(p geom.Vec, pts []geom.Vec) []geom.Vec {
-	var out []geom.Vec
+// appendTouching appends to dst the centers in pts whose discs touch the
+// disc at p (excluding p itself) and returns the extended slice.
+func appendTouching(dst []geom.Vec, p geom.Vec, pts []geom.Vec) []geom.Vec {
 	for _, q := range pts {
 		if q.EqWithin(p, geom.Eps) {
 			continue
 		}
 		if tangent(p, q) {
-			out = append(out, q)
+			dst = append(dst, q)
 		}
 	}
-	return out
+	return dst
 }

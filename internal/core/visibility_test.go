@@ -65,7 +65,8 @@ func refSelfBlocksPair(all []geom.Vec, self geom.Vec) (a, b geom.Vec, blocks boo
 func TestVisibilityHelpersMatchReference(t *testing.T) {
 	check := func(name string, v View) {
 		t.Helper()
-		d := &decider{view: v, hull: buildHullInfo(v)}
+		d := new(decider)
+		d.reset(v)
 		if got, want := d.viewFullyVisible(), visionModel.FullyVisible(d.hull.all); got != want {
 			t.Fatalf("%s: viewFullyVisible=%v, FullyVisible %v", name, got, want)
 		}
@@ -106,7 +107,8 @@ func TestSelfBlocksPairAtCorridorEdge(t *testing.T) {
 		for _, x := range []float64{0, 5, 10} {
 			self := geom.V(x, 2+dy)
 			v := NewView(self, []geom.Vec{p, q, wall}, 4)
-			d := &decider{view: v, hull: buildHullInfo(v)}
+			d := new(decider)
+			d.reset(v)
 			ga, gb, gblocks := d.selfBlocksPair()
 			wa, wb, wblocks := refSelfBlocksPair(d.hull.all, self)
 			if ga != wa || gb != wb || gblocks != wblocks {

@@ -7,14 +7,14 @@ import (
 // e5CellAllocPerEventBudget is the pinned per-event allocation budget for one
 // E5 sweep cell run end to end through engine.Cell.Run — workload generation,
 // adversary construction, the full event loop and result assembly. The event
-// loop itself is nearly allocation-free since the incremental geometry cache
+// loop itself is nearly allocation-free: the incremental geometry cache
 // (internal/geom/incr) took visibility, hull and connectivity recomputation
-// off the per-event path; what remains is per-Compute work in core.Decide
-// (view copy, decision trace, per-decision hull info). Measured ~21
-// allocs/event on the n=8 grid cell; the budget leaves slack for Go-version
-// variance while still failing on any structural regression — before the
-// cache this figure was several hundred allocs/event.
-const e5CellAllocPerEventBudget = 40
+// off the per-event path, and core.Decide computes in a pooled workspace, so
+// each Compute allocates only the view copy and the decision trace. Measured
+// 2.5 allocs/event on the n=8 grid cell (11.4 before the pooled workspace,
+// several hundred before the cache); the budget leaves slack for Go-version
+// variance while still failing on any structural regression.
+const e5CellAllocPerEventBudget = 4
 
 // TestE5CellAllocBudget pins the allocation cost of the E5 inner loop: the
 // benchmark trajectory's headline figure (allocs/op of the sequential E5

@@ -76,43 +76,45 @@ func FirstDiscContact(p, u, q Vec, r, limit, contactEps float64) (t float64, hit
 	return t1, true
 }
 
-// SegmentCircleIntersections returns the intersection points of the closed
-// segment [a, b] with the circle boundary (0, 1 or 2 points).
-func SegmentCircleIntersections(a, b Vec, c Circle) []Vec {
+// AppendSegmentCircleIntersections appends the intersection points of the
+// closed segment [a, b] with the circle boundary (0, 1 or 2 points) to dst
+// and returns the extended slice; with room for 2 in dst it does not
+// allocate.
+func AppendSegmentCircleIntersections(dst []Vec, a, b Vec, c Circle) []Vec {
 	d := b.Sub(a)
 	f := a.Sub(c.Center)
 	A := d.Dot(d)
 	if A < Eps*Eps {
 		if c.OnBoundary(a, Eps) {
-			return []Vec{a}
+			return append(dst, a)
 		}
-		return nil
+		return dst
 	}
 	B := 2 * f.Dot(d)
 	C := f.Dot(f) - c.Radius*c.Radius
 	disc := B*B - 4*A*C
 	if disc < 0 {
-		return nil
+		return dst
 	}
 	sq := math.Sqrt(disc)
-	var out []Vec
-	for _, t := range []float64{(-B - sq) / (2 * A), (-B + sq) / (2 * A)} {
+	start := len(dst)
+	for _, t := range [2]float64{(-B - sq) / (2 * A), (-B + sq) / (2 * A)} {
 		if t < -Eps || t > 1+Eps {
 			continue
 		}
 		p := a.Add(d.Scale(Clamp(t, 0, 1)))
 		dup := false
-		for _, q := range out {
+		for _, q := range dst[start:] {
 			if q.EqWithin(p, Eps) {
 				dup = true
 				break
 			}
 		}
 		if !dup {
-			out = append(out, p)
+			dst = append(dst, p)
 		}
 	}
-	return out
+	return dst
 }
 
 // CircleCircleIntersections returns the intersection points of the boundaries

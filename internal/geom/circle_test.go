@@ -78,25 +78,30 @@ func TestSegmentIntersectsDisc(t *testing.T) {
 
 func TestSegmentCircleIntersections(t *testing.T) {
 	c := Circle{Center: V(0, 0), Radius: 1}
-	pts := SegmentCircleIntersections(V(-2, 0), V(2, 0), c)
+	pts := AppendSegmentCircleIntersections(nil, V(-2, 0), V(2, 0), c)
 	if len(pts) != 2 {
 		t.Fatalf("diameter chord: got %d points", len(pts))
 	}
-	pts = SegmentCircleIntersections(V(-2, 1), V(2, 1), c)
+	pts = AppendSegmentCircleIntersections(nil, V(-2, 1), V(2, 1), c)
 	if len(pts) != 1 {
 		t.Fatalf("tangent: got %d points", len(pts))
 	}
-	pts = SegmentCircleIntersections(V(-2, 2), V(2, 2), c)
+	pts = AppendSegmentCircleIntersections(nil, V(-2, 2), V(2, 2), c)
 	if len(pts) != 0 {
 		t.Fatalf("miss: got %d points", len(pts))
 	}
-	pts = SegmentCircleIntersections(V(0, 0), V(0.5, 0), c)
+	pts = AppendSegmentCircleIntersections(nil, V(0, 0), V(0.5, 0), c)
 	if len(pts) != 0 {
 		t.Fatalf("fully inside: got %d points", len(pts))
 	}
-	pts = SegmentCircleIntersections(V(0, 0), V(2, 0), c)
+	pts = AppendSegmentCircleIntersections(nil, V(0, 0), V(2, 0), c)
 	if len(pts) != 1 || !pts[0].EqWithin(V(1, 0), 1e-9) {
 		t.Fatalf("exiting: got %v", pts)
+	}
+	// Points already in dst are kept and do not hide an equal new one.
+	pts = AppendSegmentCircleIntersections([]Vec{V(1, 0)}, V(0, 0), V(2, 0), c)
+	if len(pts) != 2 || !pts[1].EqWithin(V(1, 0), 1e-9) {
+		t.Fatalf("exiting after a prefix: got %v", pts)
 	}
 }
 

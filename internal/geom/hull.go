@@ -94,10 +94,7 @@ func ConvexHullWithCollinear(pts []Vec) []Vec {
 		// Collect all points on edge [a, b), ordered by distance from a.
 		var onEdge []Vec
 		for _, p := range uniq {
-			if p.EqWithin(b, Eps) {
-				continue
-			}
-			if p.EqWithin(a, Eps) || (CollinearWithin(a, b, p, Eps) && Between(a, b, p)) {
+			if onHullEdge(p, a, b) {
 				onEdge = append(onEdge, p)
 			}
 		}
@@ -107,6 +104,15 @@ func ConvexHullWithCollinear(pts []Vec) []Vec {
 		out = append(out, onEdge...)
 	}
 	return dedupPoints(out)
+}
+
+// onHullEdge is ConvexHullWithCollinear's membership predicate: p lies on the
+// half-open hull edge [a, b), as its start or strictly between a and b.
+func onHullEdge(p, a, b Vec) bool {
+	if p.EqWithin(b, Eps) {
+		return false
+	}
+	return p.EqWithin(a, Eps) || (CollinearWithin(a, b, p, Eps) && Between(a, b, p))
 }
 
 // OnHull reports whether p is one of the points returned by

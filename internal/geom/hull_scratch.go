@@ -66,31 +66,59 @@ func (s *HullScratch) ConvexHull(pts []Vec) []Vec {
 // dedup of the points it collects per edge, every collected point comes from
 // the deduped input (whose points are pairwise distinct within Eps, so the
 // final dedup keeps one copy of each), and therefore its length is the number
-// of deduped points that satisfy the per-edge membership predicate for at
-// least one hull edge [a, b) — the predicate replicated verbatim below. In
-// the degenerate case (<= 2 corners) ConvexHullWithCollinear returns the
-// deduped points themselves, so the count is their number.
+// of deduped points that satisfy the per-edge membership predicate
+// onHullEdge for at least one hull edge [a, b). In the degenerate case (<= 2
+// corners) ConvexHullWithCollinear returns the deduped points themselves, so
+// the count is their number.
 func (s *HullScratch) HullWithOnHullCount(pts []Vec) (corners []Vec, onHull int) {
 	corners = s.ConvexHull(pts)
-	uniq := s.uniq.v // deduped input, left sorted by ConvexHull; order is irrelevant for counting
-	if len(corners) <= 2 {
-		return corners, len(uniq)
-	}
-	m := len(corners)
-	for _, p := range uniq {
-		for i := 0; i < m; i++ {
-			a := corners[i]
-			b := corners[(i+1)%m]
-			if p.EqWithin(b, Eps) {
-				continue
-			}
-			if p.EqWithin(a, Eps) || (CollinearWithin(a, b, p, Eps) && Between(a, b, p)) {
-				onHull++
-				break
-			}
+	for _, p := range s.uniq.v { // deduped input, left sorted by ConvexHull; order is irrelevant for counting
+		if onCollinearHull(p, corners) {
+			onHull++
 		}
 	}
 	return corners, onHull
+}
+
+// CollinearHullContains reports whether every point of qs is within Eps of a
+// point of ConvexHullWithCollinear(pts), without allocating once the
+// scratch's buffers have grown.
+//
+// By the argument of HullWithOnHullCount, the points ConvexHullWithCollinear
+// returns are exactly the deduped input points that satisfy onHullEdge for
+// some hull edge (all of them when the hull has <= 2 corners). The deduped
+// input is the same set here, only sorted, so scanning it for such a point
+// within Eps of q gives the same verdict as scanning the returned slice.
+func (s *HullScratch) CollinearHullContains(pts, qs []Vec) bool {
+	corners := s.ConvexHull(pts)
+	for _, q := range qs {
+		found := false
+		for _, p := range s.uniq.v {
+			if p.EqWithin(q, Eps) && onCollinearHull(p, corners) {
+				found = true
+				break
+			}
+		}
+		if !found {
+			return false
+		}
+	}
+	return true
+}
+
+// onCollinearHull reports whether the deduped input point p is among the
+// points ConvexHullWithCollinear returns for a hull with the given corners.
+func onCollinearHull(p Vec, corners []Vec) bool {
+	m := len(corners)
+	if m <= 2 {
+		return true
+	}
+	for i := 0; i < m; i++ {
+		if onHullEdge(p, corners[i], corners[(i+1)%m]) {
+			return true
+		}
+	}
+	return false
 }
 
 // vecSorter sorts a point slice by lexLess through sort.Sort, which — unlike

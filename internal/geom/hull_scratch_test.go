@@ -110,6 +110,42 @@ func TestHullWithOnHullCountMatchesCollinearOracle(t *testing.T) {
 	}
 }
 
+// TestCollinearHullContainsMatchesOracle is the differential oracle test for
+// the membership query: for each input and each query point (the input
+// points, near-duplicates of them and strangers), the verdict must equal a
+// scan of ConvexHullWithCollinear's output.
+func TestCollinearHullContainsMatchesOracle(t *testing.T) {
+	var sc HullScratch
+	rng := rand.New(rand.NewSource(11))
+	for si, pts := range scratchPointSets() {
+		onCH := ConvexHullWithCollinear(pts)
+		oracle := func(q Vec) bool {
+			for _, r := range onCH {
+				if r.EqWithin(q, Eps) {
+					return true
+				}
+			}
+			return false
+		}
+		var queries []Vec
+		for _, p := range pts {
+			queries = append(queries, p, V(p.X+Eps/2, p.Y), V(p.X, p.Y+2*Eps))
+		}
+		queries = append(queries, V(rng.Float64()*100-50, rng.Float64()*100-50), V(0.5, 0))
+		all := true
+		for qi, q := range queries {
+			want := oracle(q)
+			all = all && want
+			if got := sc.CollinearHullContains(pts, []Vec{q}); got != want {
+				t.Fatalf("set %d query %d %v: contained %v, oracle %v", si, qi, q, got, want)
+			}
+		}
+		if got := sc.CollinearHullContains(pts, queries); got != all {
+			t.Fatalf("set %d: all queries contained %v, oracle %v", si, got, all)
+		}
+	}
+}
+
 // TestHullScratchAllocFree pins the allocation budget of the warmed-up scratch
 // hull at zero: the whole point of HullScratch is that the per-event hull
 // recomputation in the simulator allocates nothing. A future change that
@@ -128,5 +164,11 @@ func TestHullScratchAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("warmed HullScratch.ConvexHull allocates %v allocs/op, want 0", allocs)
+	}
+	allocs = testing.AllocsPerRun(100, func() {
+		sc.CollinearHullContains(pts, pts[:8])
+	})
+	if allocs != 0 {
+		t.Fatalf("warmed HullScratch.CollinearHullContains allocates %v allocs/op, want 0", allocs)
 	}
 }

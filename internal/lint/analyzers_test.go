@@ -14,6 +14,7 @@ import (
 func TestDetMapRange(t *testing.T) {
 	linttest.Run(t, "testdata/src", lint.DetMapRange,
 		"detmaprange/internal/sim",
+		"detmaprange/internal/core",
 		"detmaprange/unwatched",
 	)
 }

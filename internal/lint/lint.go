@@ -24,6 +24,16 @@ var deterministicPackages = []string{
 	"internal/adversary",
 	"internal/metrics",
 	"internal/experiments",
+	// The Compute path and the inputs of every run: the local algorithm, its
+	// visibility model, workload generation, configurations, the robot state
+	// machine, the baseline algorithms and the recorded traces.
+	"internal/core",
+	"internal/vision",
+	"internal/workload",
+	"internal/config",
+	"internal/robot",
+	"internal/baseline",
+	"internal/trace",
 	// internal/obs is under the contract for the generic analyzers — its
 	// snapshots must render deterministically (collect-then-sort map walks,
 	// no float equality) — but is exempted by name from nondetsource (reading

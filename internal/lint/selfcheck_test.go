@@ -60,6 +60,13 @@ func TestWatchedPackagesExist(t *testing.T) {
 		"github.com/fatgather/fatgather/internal/metrics",
 		"github.com/fatgather/fatgather/internal/experiments",
 		"github.com/fatgather/fatgather/internal/obs",
+		"github.com/fatgather/fatgather/internal/core",
+		"github.com/fatgather/fatgather/internal/vision",
+		"github.com/fatgather/fatgather/internal/workload",
+		"github.com/fatgather/fatgather/internal/config",
+		"github.com/fatgather/fatgather/internal/robot",
+		"github.com/fatgather/fatgather/internal/baseline",
+		"github.com/fatgather/fatgather/internal/trace",
 	} {
 		if !have[want] {
 			t.Errorf("determinism-contract package %s not loaded", want)

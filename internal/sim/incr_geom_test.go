@@ -65,15 +65,16 @@ func TestStepGeometryMatchesScratchOracles(t *testing.T) {
 }
 
 // stepAllocBudget is the pinned per-event allocation budget for Simulator.Step
-// averaged over a long fair-schedule run. The remaining allocations are the
-// per-cycle Compute work (core.NewView's defensive copy plus the paper
-// algorithm's per-decision hull construction and trace inside Decide) — the
-// per-event geometry (visibility, hull, connectivity, spread) is
-// allocation-free through the incremental cache. Measured ~20 allocs/op on an
-// n=9 ring (versus several hundred before the cache); the budget leaves slack
+// averaged over a long fair-schedule run. The per-event geometry (visibility,
+// hull, connectivity, spread) is allocation-free through the incremental
+// cache, and core.Decide computes in a pooled workspace, so what remains is
+// two allocations per Compute — core.NewView's defensive copy and the
+// decision's Trace — or about half an allocation per event on an n=9 ring,
+// which testing.AllocsPerRun reports as 0 (versus ~20 before the pooled
+// workspace and several hundred before the cache). The budget leaves slack
 // for Go-version variance but fails on any structural regression such as
 // losing a reused buffer.
-const stepAllocBudget = 28
+const stepAllocBudget = 2
 
 // TestStepAllocBudget pins the simulator's per-event allocation count. This is
 // the event-loop half of the alloc win (the geometry half is pinned at zero in
