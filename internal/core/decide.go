@@ -74,8 +74,7 @@ type decider struct {
 	// Procedure NotOnStraightLine's augmented boundary, before and after
 	// ordering.
 	aug, augOrdered []geom.Vec
-	// Procedure NotConnected's components, and its hull order of a view
-	// with more points than N.
+	// Procedure NotConnected's hull order and components.
 	comps   componentScratch
 	ordered []geom.Vec
 	// Find-Points on hull.onHull, computed at most once per decision
@@ -209,7 +208,11 @@ func (d *decider) procAllOnConvexHull() AlgState {
 	if n <= 1 {
 		return StateConnected
 	}
-	d.seen = append(d.seen[:0], make([]bool, n)...)
+	if cap(d.seen) < n {
+		d.seen = make([]bool, n)
+	}
+	d.seen = d.seen[:n]
+	clear(d.seen)
 	d.stack = append(d.stack[:0], 0)
 	d.seen[0] = true
 	count := 1
@@ -345,17 +348,9 @@ func (d *decider) procNotConnected() geom.Vec {
 	}
 
 	// Connected-Components orders its points along the hull with unbounded
-	// slack; when every view point is within the on-hull slack (a view of at
-	// most N points, which is every view the simulator builds), that order is
-	// h.onHull itself: same points, same corners, same sort. A view with more
-	// points than N may leave some off h.onHull; they are ordered in on the
-	// same corners.
-	ordered := h.onHull
-	if len(ordered) < len(all) {
-		d.ordered = d.ord.order(d.ordered[:0], all, h.corners, math.Inf(1))
-		ordered = d.ordered
-	}
-	comps := d.comps.partition(ordered, n)
+	// slack, on the corners the view's hull already has.
+	d.ordered = d.ord.order(d.ordered[:0], all, h.corners, math.Inf(1))
+	comps := d.comps.partition(d.ordered, n)
 	if len(comps) == 1 {
 		if !touchingAny(self, all) {
 			// Sub-tangency gaps on both sides: converge inward.

@@ -328,22 +328,23 @@ func TestDecideWorkspaceDigest(t *testing.T) {
 	}
 }
 
-// decideAllocBudget is the allocation budget of one warmed Decide: the copy
-// of the trace it returns. Everything else a decision builds lives in the
-// pooled workspace.
+// decideAllocBudget is the allocation budget of one decision on a warmed
+// workspace: the copy of the trace it returns. Everything else a decision
+// builds lives in the workspace.
 const decideAllocBudget = 1
 
-// TestDecideAllocs decides every view of the corpus on a warmed workspace
-// and requires each decision to stay within decideAllocBudget.
+// TestDecideAllocs decides every view of the corpus on one private, warmed
+// workspace and requires each decision to stay within decideAllocBudget. It
+// measures the workspace directly rather than through Decide's pool, whose
+// reuse the race detector randomises.
 func TestDecideAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop workspaces at random")
-	}
 	views := decisionCorpus()
+	d := new(decider)
 	worst, worstView := 0.0, 0
 	for i, v := range views {
-		Decide(v) // warm the workspace for this view's size
-		if a := testing.AllocsPerRun(3, func() { Decide(v) }); a > worst {
+		d.reset(v) // warm the workspace for this view's size
+		d.run()
+		if a := testing.AllocsPerRun(3, func() { d.reset(v); d.run() }); a > worst {
 			worst, worstView = a, i
 		}
 	}

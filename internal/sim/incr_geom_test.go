@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/fatgather/fatgather/internal/adversary"
+	"github.com/fatgather/fatgather/internal/race"
 	"github.com/fatgather/fatgather/internal/workload"
 )
 
@@ -81,6 +82,9 @@ const stepAllocBudget = 2
 // internal/geom/incr); a regression here multiplies across every event of
 // every sweep cell.
 func TestStepAllocBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector makes core.Decide's sync.Pool drop workspaces at random")
+	}
 	s, err := New(workload.Ring(9, 20), Options{})
 	if err != nil {
 		t.Fatal(err)
